@@ -8,18 +8,21 @@ acceptance floor.  Two invocation forms exist:
 the record carries; the default gates the CachedEngine-vs-direct record
 (``BENCH_engines.json``)::
 
-    cp benchmarks/BENCH_engines.json /tmp/baseline.json        # committed record
-    PYTHONPATH=src python -m pytest benchmarks/test_bench_engines.py -q
-    python benchmarks/check_regression.py /tmp/baseline.json benchmarks/BENCH_engines.json
+    PYTHONPATH=src python -m pytest benchmarks/test_bench_engines.py -q   # writes benchmarks/out/
+    python benchmarks/check_regression.py benchmarks/BENCH_engines.json benchmarks/out/BENCH_engines.json
 
 **Consolidated form** (repeatable ``--gate BASELINE:CURRENT:KEY:FLOOR``
 triples): one invocation gates every benchmark record, which is how CI
 collapses its per-record gating steps into a single one::
 
     python benchmarks/check_regression.py \\
-        --gate /tmp/BENCH_engines.baseline.json:benchmarks/BENCH_engines.json:speedup_direct_over_cached:3.0 \\
-        --gate /tmp/BENCH_adversary.baseline.json:benchmarks/BENCH_adversary.json:speedup_exhaustive_over_guided:2.0 \\
-        --gate /tmp/BENCH_workloads.baseline.json:benchmarks/BENCH_workloads.json:cells_per_second_serial:2.0
+        --gate benchmarks/BENCH_engines.json:benchmarks/out/BENCH_engines.json:speedup_direct_over_cached:3.0 \\
+        --gate benchmarks/BENCH_adversary.json:benchmarks/out/BENCH_adversary.json:speedup_exhaustive_over_guided:2.0 \\
+        --gate benchmarks/BENCH_workloads.json:benchmarks/out/BENCH_workloads.json:cells_per_second_serial:2.0
+
+The committed ``benchmarks/BENCH_*.json`` records are the baselines; the
+benchmark tests write fresh records into the gitignored ``benchmarks/out/``
+and never overwrite a committed one.
 
 Every gate is evaluated (no short-circuit) so one CI run reports every
 regression at once.  The default floor (3x) matches the assertion inside

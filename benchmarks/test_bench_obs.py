@@ -15,9 +15,7 @@ emits ``BENCH_obs.json`` so CI gates the two throughput ratios:
 Verdicts are asserted byte-identical across all three variants.
 """
 
-import json
 import time
-from pathlib import Path
 
 from repro.engine import CachedEngine
 from repro.graphs import grid_graph
@@ -25,7 +23,6 @@ from repro.local_model import NO, YES, FunctionIdObliviousAlgorithm
 from repro.obs import trace
 from repro.obs.report import aggregate, load_trace
 
-BENCH_JSON = Path(__file__).resolve().parent / "BENCH_obs.json"
 
 #: Floors asserted here and gated again in CI via check_regression --gate.
 DISABLED_FLOOR = 0.95
@@ -82,7 +79,7 @@ def _timed_sweep(engine_factory, repeats=_REPEATS):
     return outputs, min(times), times
 
 
-def test_bench_tracing_overhead(tmp_path):
+def test_bench_tracing_overhead(tmp_path, write_bench_record):
     trace.disable()
     baseline_out, t_unspanned, times_unspanned = _timed_sweep(UnspannedCachedEngine)
     disabled_out, t_disabled, times_disabled = _timed_sweep(CachedEngine)
@@ -126,7 +123,7 @@ def test_bench_tracing_overhead(tmp_path):
         "verdicts_identical_across_variants": True,
         "recorded_at_unix": int(time.time()),
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_bench_record("BENCH_obs.json", payload)
 
     assert ratio_disabled >= DISABLED_FLOOR, (
         f"tracing-disabled throughput only {ratio_disabled:.3f}x of unspanned "

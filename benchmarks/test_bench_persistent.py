@@ -5,22 +5,19 @@ engine bench gates on) twice against one :class:`VerdictStore`: the cold
 pass computes and persists every job, the warm pass — through a fresh
 engine and a freshly opened store, as a new CI run would — replays them
 from disk.  The bench asserts byte-identical verdicts and full replay, and
-records the measured replay speedup in ``BENCH_persistent.json`` next to
-the other benchmark records.  The speedup is recorded rather than gated:
+records the measured replay speedup in a ``BENCH_persistent.json`` record
+(into ``benchmarks/out/``).  The speedup is recorded rather than gated:
 the replayed/computed job split is the deterministic signal, wall-clock is
 the trajectory.
 """
 
-import json
 import time
-from pathlib import Path
 
 from repro.decision import FunctionProperty, InstanceFamily, verify_decider
 from repro.engine import CachedEngine, VerdictStore
 from repro.graphs import cycle_graph, path_graph
 from repro.local_model import NO, YES, FunctionIdObliviousAlgorithm
 
-BENCH_JSON = Path(__file__).resolve().parent / "BENCH_persistent.json"
 
 _SIZES = (64, 96, 128)
 _SAMPLES = 16
@@ -61,7 +58,7 @@ def _timed_sweep(engine):
     return report, time.perf_counter() - start
 
 
-def test_bench_persistent_replay_speedup(tmp_path):
+def test_bench_persistent_replay_speedup(tmp_path, write_bench_record):
     store_dir = tmp_path / "verdicts"
 
     cold_engine = CachedEngine().with_store(store_dir)
@@ -94,4 +91,4 @@ def test_bench_persistent_replay_speedup(tmp_path):
         "verdicts_identical_cold_vs_warm": True,
         "recorded_at_unix": int(time.time()),
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_bench_record("BENCH_persistent.json", payload)

@@ -20,22 +20,19 @@ million-cell cross and the incremental-log sweep's verdict equality, so
 the sampled path's correctness is re-asserted where its speed is measured.
 """
 
-import json
 import time
 from itertools import islice
-from pathlib import Path
 
 from repro.campaign.runner import load_result_log, run_campaign, write_report
 from repro.workloads import default_matrix, importance_sample, stratified_sample
 from repro.workloads.matrix import WorkloadMatrix
 
-BENCH_JSON = Path(__file__).resolve().parent / "BENCH_sampling.json"
 
 _MATRIX_SEED = 0
 _STREAM_PREFIX = 100_000
 
 
-def test_bench_sampling_streaming_and_replay(tmp_path):
+def test_bench_sampling_streaming_and_replay(tmp_path, write_bench_record):
     ladder = WorkloadMatrix(
         seed=_MATRIX_SEED, size_scales=(1, 2), sample_counts=(2, 3), replicas=1250
     )
@@ -101,7 +98,7 @@ def test_bench_sampling_streaming_and_replay(tmp_path):
         "log_resume_verdicts_identical": True,
         "recorded_at_unix": int(time.time()),
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_bench_record("BENCH_sampling.json", payload)
 
     # In-test floors mirror the CI gates.  Streaming measures >100k cells/s
     # on a warm interpreter; 20k leaves headroom for slow shared runners.

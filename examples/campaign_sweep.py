@@ -3,20 +3,18 @@
 The sweep pairs an LD* membership proof (cycles against paths) with an
 expected-failure scenario (the fixed-budget Id-oblivious candidate of
 Section 3 being defeated, counter-example assignment included), and runs
-both on a 2-worker ParallelEngine.
+each on the engine its scenario declares.
 
 Run with:  PYTHONPATH=src python examples/campaign_sweep.py
 """
 
 from repro.campaign import run_campaign
-from repro.engine import ParallelEngine
 
 SCENARIOS = ["classic-cycles-vs-paths", "sec3-oblivious-budget"]
 
 
 def main() -> None:
-    engine = ParallelEngine(workers=2)
-    report = run_campaign(SCENARIOS, engine=engine, quick=True, name="example-sweep")
+    report = run_campaign(SCENARIOS, quick=True, name="example-sweep")
     print(report.summary_table())
     print()
     for result in report.results:

@@ -4,8 +4,8 @@ The matrix crosses graph families x properties x decider constructions x
 identifier regimes into campaign scenario cells — no hand-written builder
 per cell.  This example expands the default matrix, prints how the cells
 distribute over the axes, then runs a small cross-section (one structured
-family, one degenerate family, one adversarial trap) on a 2-worker
-ParallelEngine and shows the trap's shrunk counter-example.
+family, one degenerate family, one adversarial trap) on each cell's
+declared engine and shows the trap's shrunk counter-example.
 
 Run with:  PYTHONPATH=src python examples/workload_matrix.py
 """
@@ -36,9 +36,7 @@ def main() -> None:
     # A cross-section: every regime on a structured and a degenerate family,
     # plus the lazy-guard colouring trap hunted on hypercubes.
     specs = matrix.scenarios(families=["hypercube", "single-edge"], properties=["colouring"])
-    report = run_campaign(
-        specs, engine="parallel", workers=2, quick=True, name="example-matrix-slice"
-    )
+    report = run_campaign(specs, quick=True, name="example-matrix-slice")
     print(report.summary_table())
     print()
     for result in report.results:

@@ -9,7 +9,7 @@ The package is organised as follows:
   message-passing simulator, port numberings;
 * :mod:`repro.engine` — pluggable execution backends (direct ball
   evaluation, synchronous message passing, batched+memoised caching,
-  multiprocess parallel sharding) that every execution path routes through
+  cross-run verdict persistence) that every execution path routes through
   via ``engine=`` arguments;
 * :mod:`repro.adversary` — guided adversarial search for identifier
   assignments defeating candidate deciders (seedable strategies, the
@@ -39,7 +39,6 @@ from .engine import (
     CachedEngine,
     DirectEngine,
     ExecutionEngine,
-    ParallelEngine,
     PersistentEngine,
     SynchronousEngine,
     VerdictStore,
@@ -63,7 +62,6 @@ __all__ = [
     "DirectEngine",
     "SynchronousEngine",
     "CachedEngine",
-    "ParallelEngine",
     "PersistentEngine",
     "VerdictStore",
     "resolve_engine",

@@ -9,8 +9,7 @@ guided, batched, resumable workload instead of exhaustive enumeration:
   random, mutation/hill-climbing guided by the defeat-ward node count);
 * :mod:`repro.adversary.search` — :func:`find_counterexample`, the driver
   that proposes candidate batches and evaluates them through the engines'
-  batched :meth:`~repro.engine.base.ExecutionEngine.run_many` seam (so
-  :class:`~repro.engine.parallel.ParallelEngine` shards the hunt and a
+  batched :meth:`~repro.engine.base.ExecutionEngine.run_many` seam (so a
   verdict store replays probes across resumed hunts), plus
   :func:`adversarial_verify` backing ``verify_decider(search=...)``;
 * :mod:`repro.adversary.shrink` — delta-debugging minimisation of found

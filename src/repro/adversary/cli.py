@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engine",
         default=None,
-        choices=["direct", "synchronous", "cached", "parallel"],
+        choices=["direct", "synchronous", "cached"],
         help="execution backend override (default: each target's declared backend)",
     )
     parser.add_argument(

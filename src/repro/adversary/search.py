@@ -3,10 +3,8 @@
 :func:`find_counterexample` turns "find the Id that defeats this candidate"
 into a budgeted, batched workload on the existing execution seams: each
 strategy batch is submitted through
-:meth:`~repro.engine.base.ExecutionEngine.run_many`, so a
-:class:`~repro.engine.parallel.ParallelEngine` shards candidate evaluation
-across its pool and an engine wrapped in a
-:class:`~repro.engine.persistent.VerdictStore` replays already-settled
+:meth:`~repro.engine.base.ExecutionEngine.run_many`, so an engine wrapped
+in a :class:`~repro.engine.persistent.VerdictStore` replays already-settled
 probes across resumed hunts (the report's ``jobs_replayed`` /
 ``jobs_computed`` record the split, exactly as in
 :func:`~repro.decision.decider.verify_decider`).

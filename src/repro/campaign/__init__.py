@@ -13,8 +13,7 @@ execution engine — and runs whole grids in one go:
   candidate, Corollary 1's randomised decider), the classic properties
   (colouring, matching, MIS, cycles-vs-paths), and the adversarial
   ``search`` hunts over the :mod:`repro.adversary` trap candidates;
-* :mod:`repro.campaign.runner` — executes specs on any execution engine
-  (including the :class:`~repro.engine.parallel.ParallelEngine`) and
+* :mod:`repro.campaign.runner` — executes specs on any execution engine and
   collects verdicts / timings / engine statistics into JSON reports under
   ``benchmarks/``; with a persistent verdict store
   (:class:`~repro.engine.persistent.VerdictStore`) attached, settled jobs

@@ -11,19 +11,18 @@ Run the whole bundle on the caching backend and write the JSON report::
 
     PYTHONPATH=src python -m repro.campaign
 
-Run two scenarios on a 2-worker parallel engine, quickly::
+Run two scenarios quickly on their declared backends::
 
     PYTHONPATH=src python -m repro.campaign classic-cycles-vs-paths \\
-        sec2-promise-cycles --engine parallel --workers 2 --quick \\
+        sec2-promise-cycles --quick \\
         --output benchmarks/BENCH_campaign_smoke.json
 
 Sweep against a persistent verdict store — the second invocation replays
 settled jobs from disk instead of recomputing them::
 
-    PYTHONPATH=src python -m repro.campaign --quick --workers 2 \\
-        --store /tmp/verdicts
-    PYTHONPATH=src python -m repro.campaign --quick --workers 2 \\
-        --store /tmp/verdicts --min-replayed 0.9
+    PYTHONPATH=src python -m repro.campaign --quick --store /tmp/verdicts
+    PYTHONPATH=src python -m repro.campaign --quick --store /tmp/verdicts \\
+        --min-replayed 0.9
 
 Resume an interrupted or partially stale campaign — only scenarios whose
 spec digest or verdict is missing/stale are re-run, and the merged report
@@ -86,15 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engine",
         default=None,
-        choices=["direct", "synchronous", "cached", "parallel"],
+        choices=["direct", "synchronous", "cached"],
         help="execution backend override (default: each scenario's declared backend)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the parallel backend (implies --engine parallel)",
     )
     parser.add_argument(
         "--quick", action="store_true", help="smaller size ladders and fewer Monte-Carlo trials"
@@ -179,8 +171,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     unknown = sorted(set(names) - set(scenario_names()))
     if unknown:
         parser.error(f"unknown scenario(s) {unknown}; see --list")
-    if args.workers is not None and args.engine is not None and args.engine != "parallel":
-        parser.error("--workers requires the parallel backend (drop --engine or use --engine parallel)")
     if args.min_replayed is not None and args.store is None:
         parser.error("--min-replayed requires --store")
     if args.quick and args.full:
@@ -199,7 +189,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 resume_path,
                 scenarios=names,
                 engine=args.engine,
-                workers=args.workers,
                 quick=quick,
                 store=args.store,
                 seed=args.seed,
@@ -210,7 +199,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = run_campaign(
                 names,
                 engine=args.engine,
-                workers=args.workers,
                 quick=args.quick,
                 store=args.store,
                 seed=args.seed,

@@ -51,7 +51,6 @@ from ..adversary.search import find_counterexample
 from ..decision.decider import verify_decider
 from ..decision.randomized import evaluate_pq_decider
 from ..engine.base import EngineLike, ExecutionEngine, resolve_engine
-from ..engine.parallel import ParallelEngine
 from ..engine.persistent import VerdictStore
 from ..obs import trace
 from .scenarios import bundled_scenarios, get_scenario
@@ -75,29 +74,6 @@ DEFAULT_REPORT_PATH = Path(__file__).resolve().parents[3] / "benchmarks" / "BENC
 StoreLike = Union[None, str, Path, VerdictStore]
 
 
-def _engine_for(spec: ScenarioSpec, engine: EngineLike, workers: Optional[int]) -> ExecutionEngine:
-    """Resolve the engine one scenario runs on.
-
-    ``engine=None`` uses the spec's declared backend; a string overrides it
-    for the whole campaign; an instance is shared as-is.  ``workers`` only
-    makes sense for the parallel backend: given alone it *implies*
-    ``engine="parallel"``, while combining it with any other explicit
-    backend is an error rather than a silent no-op.
-    """
-    if workers is not None and engine is None:
-        return ParallelEngine(workers=workers)
-    if engine is None:
-        engine = spec.engine
-    if isinstance(engine, str) and engine == "parallel" and workers is not None:
-        return ParallelEngine(workers=workers)
-    if workers is not None:
-        raise ValueError(
-            f"workers={workers} only applies to the 'parallel' backend, "
-            f"not {engine if isinstance(engine, str) else type(engine).__name__!r}"
-        )
-    return resolve_engine(engine)
-
-
 def _resolve_store(store: StoreLike) -> Tuple[Optional[VerdictStore], bool]:
     """Open a store if needed; the flag says whether this call owns (closes) it."""
     if store is None:
@@ -110,16 +86,17 @@ def _resolve_store(store: StoreLike) -> Tuple[Optional[VerdictStore], bool]:
 def run_scenario(
     spec_or_name: Union[ScenarioSpec, str],
     engine: EngineLike = None,
-    workers: Optional[int] = None,
     quick: bool = False,
     store: StoreLike = None,
     seed: Optional[int] = None,
 ) -> ScenarioResult:
     """Execute one scenario and return its result record.
 
-    With ``store`` given, the scenario's engine is wrapped in the verdict
-    store so already-settled jobs replay from disk; the result records how
-    many jobs were replayed vs computed.  ``seed`` overrides the spec's
+    ``engine=None`` runs the spec's declared backend; a backend name
+    overrides it, and an engine instance is used as-is.  With ``store``
+    given, the scenario's engine is wrapped in the verdict store so
+    already-settled jobs replay from disk; the result records how many
+    jobs were replayed vs computed.  ``seed`` overrides the spec's
     declared sampling/search seed (the CLI's ``--seed``); it participates
     in the spec digest, so results recorded under one seed never satisfy a
     resume under another.
@@ -127,7 +104,7 @@ def run_scenario(
     spec = get_scenario(spec_or_name) if isinstance(spec_or_name, str) else spec_or_name
     if seed is not None and seed != spec.seed:
         spec = dataclasses.replace(spec, seed=seed)
-    eng = _engine_for(spec, engine, workers)
+    eng = resolve_engine(spec.engine if engine is None else engine)
     verdict_store, owns_store = _resolve_store(store)
     if verdict_store is not None:
         eng = eng.with_store(verdict_store)
@@ -337,7 +314,6 @@ def _iter_specs(
 def run_campaign(
     scenarios: Optional[Iterable[Union[ScenarioSpec, str]]] = None,
     engine: EngineLike = None,
-    workers: Optional[int] = None,
     quick: bool = False,
     name: str = "podc13-reproduction",
     store: StoreLike = None,
@@ -384,9 +360,7 @@ def run_campaign(
                     old.resumed = True
                     report.results.append(old)
                     continue
-                result = run_scenario(
-                    spec, engine=engine, workers=workers, quick=quick, store=verdict_store
-                )
+                result = run_scenario(spec, engine=engine, quick=quick, store=verdict_store)
                 report.results.append(result)
                 if log_handle is not None:
                     _append_result(log_handle, result)
@@ -403,7 +377,6 @@ def resume_campaign(
     report_path: Union[str, Path],
     scenarios: Optional[Iterable[Union[ScenarioSpec, str]]] = None,
     engine: EngineLike = None,
-    workers: Optional[int] = None,
     quick: Optional[bool] = None,
     store: StoreLike = None,
     seed: Optional[int] = None,
@@ -465,9 +438,7 @@ def resume_campaign(
                     merged.results.append(old)
                     reused += 1
                     continue
-                result = run_scenario(
-                    spec, engine=engine, workers=workers, quick=quick, store=verdict_store
-                )
+                result = run_scenario(spec, engine=engine, quick=quick, store=verdict_store)
                 merged.results.append(result)
                 if log_handle is not None:
                     _append_result(log_handle, result)

@@ -38,7 +38,6 @@ from ..decision.property import InstanceFamily, Property
 from ..engine.persistent import _code_token
 from ..graphs.identifiers import IdAssignment, IdentifierSpace
 from ..graphs.labelled_graph import LabelledGraph
-from ..obs.metrics import POOL_COUNTERS
 
 __all__ = ["ScenarioSpec", "ScenarioWorkload", "ScenarioResult", "CampaignReport"]
 
@@ -260,21 +259,6 @@ class CampaignReport:
         """Total jobs freshly computed across all scenarios."""
         return sum(r.jobs_computed for r in self.results)
 
-    #: Parallel-backend counters aggregated into the report head, so a
-    #: regression (forks per sweep creeping up, payloads re-shipped every
-    #: batch) is observable in the JSON without trawling per-scenario stats.
-    #: Sourced from the typed metric declarations so the wire keys are
-    #: declared exactly once (:data:`repro.obs.metrics.POOL_COUNTERS`).
-    PARALLEL_COUNTER_KEYS = tuple(sorted(metric.name for metric in POOL_COUNTERS))
-
-    def parallel_stats(self) -> Dict[str, int]:
-        """Sum of the parallel-backend counters across all scenarios."""
-        totals = {key: 0 for key in self.PARALLEL_COUNTER_KEYS}
-        for result in self.results:
-            for key in self.PARALLEL_COUNTER_KEYS:
-                totals[key] += int(result.engine_stats.get(key, 0))
-        return totals
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "campaign": self.name,
@@ -283,7 +267,6 @@ class CampaignReport:
             "ok": self.ok,
             "jobs_computed": self.jobs_computed,
             "jobs_replayed": self.jobs_replayed,
-            "parallel": self.parallel_stats(),
             "scenarios": [r.as_dict() for r in self.results],
         }
 

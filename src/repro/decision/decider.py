@@ -17,8 +17,8 @@ The whole ``(instance × assignment)`` grid is submitted through one
 ``engine.run_many`` call per sweep, so whichever backend is selected sees
 the full batch at once — the default :class:`~repro.engine.direct.DirectEngine`
 then serves every assignment of a graph from one vectorised ball
-collection (:mod:`repro.engine.interned`), and parallel/persistent
-backends shard or replay the same batch with identical verdicts.
+collection (:mod:`repro.engine.interned`), and the persistent backend
+replays the settled jobs of the same batch with identical verdicts.
 """
 
 from __future__ import annotations
@@ -298,12 +298,11 @@ def verify_decider(
     sweep's ``(graph, assignment)`` grid is submitted through the engine's
     batched :meth:`~repro.engine.base.ExecutionEngine.run_many` driver: the
     :class:`~repro.engine.cached.CachedEngine` answers repeats from its
-    memo stores, and the :class:`~repro.engine.parallel.ParallelEngine`
-    shards the grid across its worker pool (per whole family, or per
-    instance when ``stop_at_first_failure`` limits how much work may run).
+    memo stores.  The grid is one batch per whole family, or one per
+    instance when ``stop_at_first_failure`` limits how much work may run.
     An engine wrapped in a cross-run verdict store
     (``engine.with_store(path)``) replays already-settled jobs from disk
-    and only fans out the misses; the report's ``jobs_replayed`` /
+    and only computes the misses; the report's ``jobs_replayed`` /
     ``jobs_computed`` fields record that split.
 
     ``search`` switches the sweep from a fixed assignment pool to guided
@@ -397,8 +396,8 @@ def verify_decider(
                 return _finalise()
         return _finalise()
 
-    # One batch over the whole (instance x assignment) grid: maximal fan-out
-    # for sharding backends, identical verdict order for serial ones.
+    # One batch over the whole (instance x assignment) grid, so a store-backed
+    # engine replays every settled job of the sweep in one lookup pass.
     grid: List[Tuple[LabelledGraph, bool, List[IdAssignment]]] = []
     jobs: List[Tuple[LabelledGraph, Optional[IdAssignment]]] = []
     for graph, expected in labelled:

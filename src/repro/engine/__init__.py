@@ -14,16 +14,13 @@
   frontier expansion over boolean masks, canonical keys as bytes of
   canonicalised array slices (with a dict-based fallback for graphs that
   fail interning);
-* :class:`~repro.engine.parallel.ParallelEngine` — sweep sharding across
-  the persistent :class:`~repro.engine.pool.WorkerPool` of warm caching
-  workers, with cost-model routing and deterministic work partitioning;
 * :class:`~repro.engine.persistent.PersistentEngine` — cross-run
   persistence: wraps any backend (``engine.with_store(path)``) with an
   on-disk :class:`~repro.engine.persistent.VerdictStore` so settled jobs
   are replayed instead of recomputed across campaigns and CI runs.
 
 ``engine=`` arguments across the package accept an instance, a backend name
-(``"direct"`` / ``"synchronous"`` / ``"cached"`` / ``"parallel"``) or
+(``"direct"`` / ``"synchronous"`` / ``"cached"``) or
 ``None`` for the shared default; see
 :func:`~repro.engine.base.resolve_engine`.
 """
@@ -45,7 +42,6 @@ from .interned import (
     interned_view_key,
     interned_views_available,
 )
-from .parallel import ParallelEngine, partition_chunks
 from .persistent import (
     PersistentEngine,
     StoreCorruptionWarning,
@@ -53,15 +49,6 @@ from .persistent import (
     algorithm_fingerprint,
     exact_algorithm_fingerprint,
     job_digest,
-)
-from .pool import (
-    CostModel,
-    WorkerPool,
-    get_pool,
-    reset_shared_local_engine,
-    shared_cost_model,
-    shared_local_engine,
-    shutdown_pool,
 )
 from .store import LRUStore
 from .synchronous import SynchronousEngine
@@ -76,25 +63,16 @@ __all__ = [
     "DirectEngine",
     "SynchronousEngine",
     "CachedEngine",
-    "ParallelEngine",
     "PersistentEngine",
     "VerdictStore",
     "StoreCorruptionWarning",
     "algorithm_fingerprint",
     "exact_algorithm_fingerprint",
     "job_digest",
-    "partition_chunks",
     "InternedGraph",
     "intern_graph",
     "interned_id_free_views",
     "interned_view_key",
     "interned_views_available",
     "LRUStore",
-    "CostModel",
-    "WorkerPool",
-    "get_pool",
-    "reset_shared_local_engine",
-    "shared_cost_model",
-    "shared_local_engine",
-    "shutdown_pool",
 ]

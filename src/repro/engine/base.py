@@ -256,15 +256,15 @@ class ExecutionEngine(ABC):
         return outputs
 
     # ------------------------------------------------------------------ #
-    # Batched drivers — the fan-out seam
+    # Batched drivers
     # ------------------------------------------------------------------ #
     #
     # The verification sweeps (``verify_decider``, the Monte-Carlo
-    # estimators, campaign runs) are embarrassingly parallel across their
-    # ``(graph, ids)`` / ``(graph, ids, seed)`` jobs.  They submit whole job
-    # lists through these two methods so that a parallel backend can shard
-    # the list across workers; the default implementations run the jobs
-    # sequentially, which keeps every serial backend's behaviour unchanged.
+    # estimators, campaign runs) submit whole ``(graph, ids)`` /
+    # ``(graph, ids, seed)`` job lists through these two methods, so that
+    # the persistent backend can replay the settled jobs of a list and
+    # compute only the rest as one batch; the default implementations run
+    # the jobs in order.
 
     def run_many(
         self,
@@ -294,7 +294,7 @@ class ExecutionEngine(ABC):
         """Run a randomised algorithm over many ``(graph, ids, seed)`` jobs.
 
         Each job's seed is explicit, so results are reproducible and
-        independent of how a backend orders or shards the jobs.
+        independent of how a backend orders or batches the jobs.
         """
         with trace.span(self._kind_run_randomised_many, jobs=len(jobs)):
             return self._run_randomised_many_core(algorithm, jobs)
@@ -323,24 +323,6 @@ class ExecutionEngine(ABC):
         from .persistent import PersistentEngine
 
         return PersistentEngine(store, inner=self)
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-
-    def shutdown(self) -> None:
-        """Release any long-lived execution resources (worker pools).
-
-        A no-op for the in-process backends; the parallel backend stops
-        its persistent workers here.  Engines stay usable after shutdown —
-        resources are re-acquired lazily.
-        """
-
-    def __enter__(self) -> "ExecutionEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -387,8 +369,8 @@ def store_job_split(
 # ---------------------------------------------------------------------- #
 
 #: Anything accepted by ``engine=`` arguments across the package: a concrete
-#: engine, a backend name (``"direct"`` / ``"synchronous"`` / ``"cached"`` /
-#: ``"parallel"``), or ``None`` for the shared default.
+#: engine, a backend name (``"direct"`` / ``"synchronous"`` / ``"cached"``),
+#: or ``None`` for the shared default.
 EngineLike = Union[None, str, "ExecutionEngine"]
 
 _default: Optional["ExecutionEngine"] = None
@@ -409,7 +391,7 @@ def resolve_engine(engine: Union[None, str, "ExecutionEngine"]) -> "ExecutionEng
 
     ``None`` means the shared default :class:`DirectEngine` (the original
     ball-evaluation semantics); a string names a backend (``"direct"``,
-    ``"synchronous"``, ``"cached"``, ``"parallel"``) and builds a fresh
+    ``"synchronous"``, ``"cached"``) and builds a fresh
     instance of it; an :class:`ExecutionEngine` instance is returned as-is.
     """
     if engine is None:
@@ -419,14 +401,12 @@ def resolve_engine(engine: Union[None, str, "ExecutionEngine"]) -> "ExecutionEng
     if isinstance(engine, str):
         from .cached import CachedEngine
         from .direct import DirectEngine
-        from .parallel import ParallelEngine
         from .synchronous import SynchronousEngine
 
         registry = {
             "direct": DirectEngine,
             "synchronous": SynchronousEngine,
             "cached": CachedEngine,
-            "parallel": ParallelEngine,
         }
         try:
             return registry[engine]()

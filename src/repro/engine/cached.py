@@ -110,15 +110,6 @@ class CachedEngine(ExecutionEngine):
         How many canonical view keys to intern.
     max_run_entries:
         How many whole-run output maps to keep.
-    content_keyed:
-        Key the memo and run stores by the algorithm's *content
-        fingerprint* instead of its identity.  Sweeps that rebuild
-        equal-content algorithm objects per cell (the workload matrix
-        builds a fresh decider for every cell) then share one memo.  Only
-        algorithms whose fingerprint is provably exact
-        (:func:`~repro.engine.persistent.exact_algorithm_fingerprint`)
-        are content-keyed; anything else silently keeps identity keys,
-        so the flag can never conflate behaviourally different code.
     """
 
     name = "cached"
@@ -129,37 +120,12 @@ class CachedEngine(ExecutionEngine):
         max_memo_entries: int = 100_000,
         max_interned_keys: int = 100_000,
         max_run_entries: int = 4096,
-        content_keyed: bool = False,
     ) -> None:
         super().__init__()
         self._balls = LRUStore(max_ball_collections)
         self._memo = LRUStore(max_memo_entries)
         self._keys = LRUStore(max_interned_keys)
         self._runs = LRUStore(max_run_entries)
-        self.content_keyed = content_keyed
-        # id(algorithm) -> (algorithm, key); the stored reference keeps the
-        # object alive so a recycled id can never alias a dead algorithm.
-        self._algo_keys: Dict[int, Tuple[object, Hashable]] = {}
-
-    def _algo_key(self, algorithm: "LocalAlgorithm") -> Hashable:
-        """The memo key component standing for ``algorithm``.
-
-        Identity (the object itself) by default; with ``content_keyed``,
-        the exact content fingerprint when one exists.
-        """
-        if not self.content_keyed:
-            return algorithm
-        entry = self._algo_keys.get(id(algorithm))
-        if entry is not None and entry[0] is algorithm:
-            return entry[1]
-        from .persistent import exact_algorithm_fingerprint
-
-        token = exact_algorithm_fingerprint(algorithm)
-        key: Hashable = algorithm if token is None else ("content", token)
-        if len(self._algo_keys) > 4096:
-            self._algo_keys.clear()
-        self._algo_keys[id(algorithm)] = (algorithm, key)
-        return key
 
     def clear_caches(self) -> None:
         """Drop all cached balls, interned keys and memoised outputs."""
@@ -167,7 +133,6 @@ class CachedEngine(ExecutionEngine):
         self._memo.clear()
         self._keys.clear()
         self._runs.clear()
-        self._algo_keys.clear()
 
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
         """Return the counters of the underlying LRU stores."""
@@ -238,7 +203,7 @@ class CachedEngine(ExecutionEngine):
         # Id-oblivious outputs are independent of the assignment, so the run
         # key deliberately omits it: every assignment of a verification
         # sweep after the first is a single lookup.
-        run_key = (self._algo_key(algorithm), graph, algorithm.radius, use_ids)
+        run_key = (algorithm, graph, algorithm.radius, use_ids)
         cached = self._runs.get(run_key)
         if cached is not None:
             self.stats.nodes_run += len(cached)
@@ -292,7 +257,7 @@ class CachedEngine(ExecutionEngine):
         if view_key is None:
             self.stats.evaluations += 1
             return algorithm.evaluate(view)
-        memo_key = (self._algo_key(algorithm), view_key)
+        memo_key = (algorithm, view_key)
         cached = self._memo.get(memo_key, _MISSING)
         if cached is not _MISSING:
             self.stats.evaluation_hits += 1

@@ -30,7 +30,7 @@ The dict-based path stays as the fallback: graphs that fail interning
 (empty graphs, graphs above :data:`MAX_INTERN_NODES`, exotic failures, or
 a missing numpy) take the historical code path and produce identical
 outputs, which the equivalence suite (``tests/test_interned_engine.py``)
-asserts across all 12 workload graph families and worker counts 1/2/4.
+asserts across all 12 workload graph families and every backend.
 
 numpy is an optional accelerator dependency: when it cannot be imported
 every entry point degrades to the fallback (:func:`intern_graph` returns

@@ -2,8 +2,7 @@
 
 The caching backends make a *single* sweep fast, but every campaign or CI
 run still starts cold: verdicts computed yesterday are recomputed today.
-This module adds the cross-run layer the ROADMAP's sharding + caching
-direction calls for:
+This module adds the cross-run layer:
 
 * :class:`VerdictStore` — an on-disk, append-only store of settled job
   outputs.  Entries live in JSONL *segments* (one file per writing
@@ -17,12 +16,10 @@ direction calls for:
   that wraps any inner backend (default: a fresh
   :class:`~repro.engine.cached.CachedEngine`) and consults the store
   *before* delegating: whole jobs whose digest is already settled are
-  replayed from disk; only the misses are batched to the inner engine
-  (so a :class:`~repro.engine.parallel.ParallelEngine` inner still fans
-  the misses out across its pool), and their outputs are appended to the
-  store afterwards.  Every engine grows a
-  :meth:`~repro.engine.base.ExecutionEngine.with_store` seam returning
-  itself wrapped this way.
+  replayed from disk; only the misses are batched to the inner engine,
+  and their outputs are appended to the store afterwards.  Every engine
+  grows a :meth:`~repro.engine.base.ExecutionEngine.with_store` seam
+  returning itself wrapped this way.
 
 Soundness mirrors the in-memory memoisation contract: a deterministic run
 is a pure function of ``(algorithm, graph, ids)`` — of ``(algorithm,
@@ -68,6 +65,7 @@ from ..obs import trace
 from ..obs.metrics import (
     STORE_COMPUTED,
     STORE_DECODE_FAILURES,
+    STORE_EVICTED_MISSES,
     STORE_REPLAYED,
     STORE_UNPERSISTABLE,
     Metric,
@@ -422,15 +420,9 @@ class VerdictStore:
         remain on disk (their digests stay tracked, so they are never
         re-appended as duplicates) but must be recomputed if requested
         again in this run; stores larger than the front therefore degrade
-        to partial replay rather than growing their segments.
-
-    read_only:
-        Never touch disk on :meth:`put`: entries are cached in the memory
-        front only.  This is how pool workers mount the parent's store —
-        many workers appending their own segments would fragment the store
-        into per-fork files that the parent re-loads forever; instead
-        workers replay what is settled and the parent persists what its
-        batch computed.
+        to partial replay rather than growing their segments
+        (:class:`PersistentEngine` counts each such miss as
+        ``store_evicted_misses``).
 
     Each segment line is ``{"k": <digest>, "v": <encoded outputs>}``.
     Truncated or otherwise undecodable lines (a run killed mid-append) are
@@ -443,10 +435,8 @@ class VerdictStore:
         self,
         path: Union[str, Path],
         max_memory_entries: int = 100_000,
-        read_only: bool = False,
     ) -> None:
         self.path = Path(path)
-        self.read_only = read_only
         self.path.mkdir(parents=True, exist_ok=True)
         self._front = LRUStore(max_memory_entries)
         # Every digest present in a segment, independent of the bounded
@@ -521,7 +511,7 @@ class VerdictStore:
 
     def put(self, digest: str, payload: Any) -> None:
         """Persist ``payload`` under ``digest``: append to disk, cache in memory."""
-        if self.read_only or digest in self._on_disk:
+        if digest in self._on_disk:
             self._front.put(digest, payload)
             return
         line = json.dumps({"k": digest, "v": payload}, sort_keys=True)
@@ -596,21 +586,12 @@ class PersistentEngine(ExecutionEngine):
         shared with the inner engine, with the store traffic surfaced as
         ``store_replayed`` / ``store_computed`` extras, so drivers and
         campaign reports can distinguish replayed from computed jobs.
-    replay_only:
-        When true, serve (and count) store hits but never persist what
-        the inner engine computes — no ``store_computed`` counting, no
-        writes, not even to the in-memory front.  This is the worker-side
-        mount inside :class:`~repro.engine.pool.WorkerPool`: the parent
-        wrapper owns the job accounting and the durable writes, so a
-        worker front that also counted its same-sweep computations would
-        double-book them when worker stats merge back.
 
     Only *whole* runs are persisted (complete output maps of one
     ``(graph, ids[, seed])`` job); partial node subsets and randomised
     runs without an explicit seed pass straight through to the inner
     engine.  The batched drivers consult the store first and delegate
-    only the misses — as one batch, so a sharding inner engine still
-    sees maximal fan-out.
+    only the misses, as one batch.
     """
 
     name = "persistent"
@@ -619,23 +600,15 @@ class PersistentEngine(ExecutionEngine):
         self,
         store: Union[VerdictStore, str, Path],
         inner: EngineLike = None,
-        replay_only: bool = False,
     ) -> None:
         super().__init__()
         self.store = store if isinstance(store, VerdictStore) else VerdictStore(store)
         self.inner = resolve_engine(inner if inner is not None else "cached")
-        self.replay_only = replay_only
         # Share the inner engine's stats object so computed work is counted
         # once, and layer the store counters into its extras.
         self.stats = self.inner.stats
         self._fingerprints = LRUStore(256)
         self._graph_tokens = LRUStore(1024)
-        # A sharding inner engine (ParallelEngine) can mount the store
-        # read-only inside its workers, so misses this wrapper delegates
-        # still replay whatever *other* jobs of the batch are settled.
-        attach = getattr(self.inner, "attach_store", None)
-        if callable(attach):
-            attach(str(self.store.path))
 
     def reset_stats(self) -> None:
         """Reset the shared stats counters of the wrapped inner engine."""
@@ -685,6 +658,10 @@ class PersistentEngine(ExecutionEngine):
     def _replay(self, digest: str, graph: LabelledGraph) -> Optional[Dict[Node, Hashable]]:
         payload = self.store.get(digest)
         if payload is None:
+            if digest in self.store._on_disk:
+                # Settled on disk but evicted from the bounded memory
+                # front: the job is recomputed, so make the gap visible.
+                self._count(STORE_EVICTED_MISSES)
             return None
         try:
             outputs = _decode_outputs(graph, payload)
@@ -697,8 +674,6 @@ class PersistentEngine(ExecutionEngine):
         return outputs
 
     def _persist(self, digest: str, graph: LabelledGraph, outputs: Dict[Node, Hashable]) -> None:
-        if self.replay_only:
-            return
         self._count(STORE_COMPUTED)
         try:
             self.store.put(digest, _encode_outputs(graph, outputs))

@@ -6,9 +6,8 @@ Three pieces, all stdlib-only so every other layer may import this one
 * :mod:`repro.obs.trace` — the span tracer behind ``--trace`` /
   ``REPRO_TRACE``; disabled by default with a genuinely free no-op path.
 * :mod:`repro.obs.metrics` — declared :class:`Metric` constants and the
-  :class:`MetricsRegistry` snapshot/diff discipline that replaced the
-  stringly-typed counter keys previously duplicated across ``pool.py``,
-  ``parallel.py`` and ``persistent.py``.
+  :class:`MetricsRegistry` snapshot/diff discipline that replaced
+  stringly-typed counter keys duplicated across the engine layers.
 * :mod:`repro.obs.report` — ``python -m repro.obs report trace.jsonl``
   aggregation: self/cumulative time per span kind, per-job latency
   percentiles, replay/compute breakdown, and two-trace ``--compare``.

@@ -1,10 +1,9 @@
 """Typed metrics: declared counter/gauge/histogram constants and a registry.
 
 Before this module, every layer of the engine stack invented its own
-string keys for the same quantities — ``pool.py`` kept raw ints,
-``parallel.py`` re-keyed them into ``EngineStats.extra``, and
-``persistent.py``/``campaign`` hard-coded the ``store_*`` strings a third
-time.  A typo produced a silently-zero counter; a rename produced drift.
+string keys for the same quantities — ``persistent.py`` and ``campaign``
+each hard-coded the ``store_*`` strings.  A typo produced a silently-zero
+counter; a rename produced drift.
 
 Here each quantity is declared **once** as a :class:`Metric` constant
 (kind-checked at update time), and :class:`MetricsRegistry` supplies the
@@ -17,7 +16,7 @@ pipeline all keep working unchanged.
 Usage::
 
     registry = MetricsRegistry()
-    registry.inc(FORKS)
+    registry.inc(INTERN_CACHE_HITS)
     before = registry.snapshot()
     ...
     deltas = diff_snapshots(before, registry.snapshot())
@@ -27,27 +26,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 __all__ = [
     "BALL_TABLES_GROWN",
-    "BATCHES",
-    "CHUNKS",
-    "COALESCED_BATCHES",
-    "FORKS",
     "INTERN_CACHE_HITS",
     "INTERN_CACHE_MISSES",
     "MESSAGES_SENT",
     "Metric",
     "MetricsRegistry",
-    "PAYLOAD_SHIPS",
-    "PAYLOAD_SHIP_BYTES",
-    "POOL_COUNTERS",
     "STORE_COMPUTED",
     "STORE_DECODE_FAILURES",
+    "STORE_EVICTED_MISSES",
     "STORE_REPLAYED",
     "STORE_UNPERSISTABLE",
-    "WORKER_DEATHS",
     "diff_snapshots",
     "global_metrics",
     "reset_global_metrics",
@@ -67,8 +59,8 @@ class Metric:
     """Declaration of one named quantity: its wire name, kind, unit, meaning.
 
     The ``name`` doubles as the wire/storage key (``EngineStats.extra``,
-    campaign report JSON, ``WorkerPool.counters()``), which is why the
-    constants below reuse the strings that predate this module.
+    campaign report JSON), which is why the constants below reuse the
+    strings that predate this module.
     """
 
     name: str
@@ -77,34 +69,15 @@ class Metric:
     description: str
 
 
-# -- the worker-pool counters (names are the historical counters() keys) -- #
-
-FORKS = Metric("parallel_forks", COUNTER, "processes", "worker processes forked by the pool")
-PAYLOAD_SHIPS = Metric("payload_ships", COUNTER, "ships", "payload generations pickled and sent to workers")
-PAYLOAD_SHIP_BYTES = Metric("payload_ship_bytes", COUNTER, "bytes", "total pickled payload bytes shipped")
-BATCHES = Metric("parallel_batches", COUNTER, "batches", "submit() batches dispatched to the pool")
-CHUNKS = Metric("parallel_chunks", COUNTER, "chunks", "work chunks executed across all batches")
-COALESCED_BATCHES = Metric("coalesced_batches", COUNTER, "batches", "batches that reused the previous payload generation")
-WORKER_DEATHS = Metric("worker_deaths_recovered", COUNTER, "workers", "dead workers detected and respawned mid-batch")
-
-#: The pool's counters in their stable reporting order — the single source
-#: for ``WorkerPool.counters()`` keys and campaign report parallel totals.
-POOL_COUNTERS: Tuple[Metric, ...] = (
-    FORKS,
-    PAYLOAD_SHIPS,
-    PAYLOAD_SHIP_BYTES,
-    BATCHES,
-    CHUNKS,
-    COALESCED_BATCHES,
-    WORKER_DEATHS,
-)
-
 # -- the persistent-store counters (historical EngineStats.extra keys) ---- #
 
 STORE_REPLAYED = Metric("store_replayed", COUNTER, "jobs", "jobs answered from the verdict store")
 STORE_COMPUTED = Metric("store_computed", COUNTER, "jobs", "jobs computed and persisted to the store")
 STORE_DECODE_FAILURES = Metric("store_decode_failures", COUNTER, "jobs", "stored verdicts that failed to decode")
 STORE_UNPERSISTABLE = Metric("store_unpersistable", COUNTER, "jobs", "results that could not be encoded for the store")
+STORE_EVICTED_MISSES = Metric(
+    "store_evicted_misses", COUNTER, "jobs", "settled jobs recomputed because the store's memory front evicted them"
+)
 
 # -- engine-local counters ------------------------------------------------ #
 
@@ -124,8 +97,8 @@ class MetricsRegistry:
     (:meth:`set`), histograms are bounded observation lists
     (:meth:`observe`) summarised on demand.  :meth:`snapshot` captures
     counters+gauges as a plain dict — feed two snapshots to
-    :func:`diff_snapshots` for the per-batch deltas that replaced the
-    hand-computed before/after subtraction in :mod:`repro.engine.parallel`.
+    :func:`diff_snapshots` for per-interval deltas instead of
+    hand-computed before/after subtraction.
     """
 
     def __init__(self) -> None:

@@ -1,13 +1,11 @@
 """Trace aggregation: turn a span JSONL file into a performance report.
 
 Loads a trace written by :mod:`repro.obs.trace` (tolerating truncated or
-garbled lines from killed workers), rebuilds the span tree from
+garbled lines from killed runs), rebuilds the span tree from
 ``id``/``parent`` edges, and renders:
 
 * a per-kind table — span count, cumulative seconds, **self** seconds
-  (duration minus the durations of direct children, clamped at zero:
-  children of a fan-out span run concurrently, so self-time of parallel
-  dispatch spans reads as "time not accounted to any worker"),
+  (duration minus the durations of direct children, clamped at zero),
 * per-job latency percentiles over *leaf* job spans — spans whose kind
   ends in ``.run`` / ``.run_randomised`` with no same-shaped child, so a
   ``persistent.run`` wrapping a ``cached.run`` counts once,
@@ -40,15 +38,14 @@ _JOB_SUFFIXES = (".run", ".run_randomised")
 
 #: Kind prefixes that are orchestration, not jobs — ``campaign.run`` ends
 #: in ``.run`` but times a whole sweep, not one job.
-_NON_JOB_PREFIXES = ("campaign.", "pool.", "store.", "interned.", "adversary.")
+_NON_JOB_PREFIXES = ("campaign.", "store.", "interned.", "adversary.")
 
 
 def load_trace(path: str) -> List[Dict[str, Any]]:
     """Read a span-per-line JSONL trace, skipping malformed lines.
 
-    Workers killed mid-write (death-recovery tests do this on purpose)
-    can leave truncated lines; those are dropped rather than failing the
-    whole report.
+    A process killed mid-write can leave truncated lines; those are
+    dropped rather than failing the whole report.
     """
     spans: List[Dict[str, Any]] = []
     with open(path, encoding="utf-8") as handle:

@@ -1,10 +1,11 @@
 """Zero-dependency span tracing: the flight recorder behind ``--trace``.
 
-A *span* is one timed region of work (an engine batch, a campaign phase, a
-pool chunk) with a kind, attributes, and a parent — together they form the
-call tree of a sweep.  Completed spans are written as single JSON lines to
-an append-only trace file; ``python -m repro.obs report`` aggregates such
-a file into self/cumulative time tables and latency percentiles.
+A *span* is one timed region of work (an engine batch, a campaign phase,
+a store lookup) with a kind, attributes, and a parent — together they
+form the call tree of a sweep.  Completed spans are written as single
+JSON lines to an append-only trace file; ``python -m repro.obs report``
+aggregates such a file into self/cumulative time tables and latency
+percentiles.
 
 Design constraints, in order:
 
@@ -17,12 +18,9 @@ Design constraints, in order:
   the writing process.  Cross-process trees therefore never compare raw
   timestamps — only durations and parent edges (the report does exactly
   that).
-* **Workers never write the parent's file.**  ``os.register_at_fork``
-  drops the global tracer in forked children; pool workers are handed an
-  explicit sidecar directory and a parent span id per batch
-  (see :mod:`repro.engine.pool`), write their own per-worker files there,
-  and the parent merges them with :meth:`Tracer.absorb_sidecar` when the
-  batch completes — one sweep, one coherent tree.
+* **Forked children never write the parent's file.**
+  ``os.register_at_fork`` drops the global tracer in forked children, so
+  a fork can never interleave its spans into the parent's tree.
 
 Enable globally with the ``REPRO_TRACE=path`` environment variable, the
 ``--trace PATH`` flag of the campaign/workloads CLIs, or
@@ -33,9 +31,9 @@ Trace line format (one completed span per line)::
     {"kind": "cached.run", "id": "3f2a.17", "parent": "3f2a.16",
      "t0": 1.234, "t1": 1.251, "attrs": {"graph_nodes": 64}}
 
-``id`` is ``<pid hex>.<counter>`` — unique across the processes of one
-sweep; ``parent`` is another span's id or ``null`` for roots; ``attrs``
-merges the tracer's tags (e.g. a worker id) with the span's own.
+``id`` is ``<pid hex>.<counter>`` — unique across processes;
+``parent`` is another span's id or ``null`` for roots; ``attrs`` holds
+the span's own attributes.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ from typing import Any, Dict, List, Optional, Union
 __all__ = [
     "Span",
     "Tracer",
-    "active",
     "disable",
     "enable",
     "enabled",
@@ -62,8 +59,7 @@ class _NoopSpan:
 
     __slots__ = ()
 
-    #: No-op spans have no identity; callers that need a parent id for
-    #: cross-process propagation must check :func:`active` first.
+    #: No-op spans have no identity.
     id: Optional[str] = None
     kind: str = ""
 
@@ -87,8 +83,8 @@ class Span:
     """One timed region: records ``kind``/``attrs`` and writes itself on exit.
 
     Use as a context manager; the span's parent is whatever span is open
-    on the owning tracer's stack at ``__enter__`` time (or the tracer's
-    ``root_parent`` when the stack is empty).  :meth:`add` attaches
+    on the owning tracer's stack at ``__enter__`` time (``None`` when the
+    stack is empty).  :meth:`add` attaches
     attributes that are only known at completion (counters, verdicts).
     """
 
@@ -111,7 +107,7 @@ class Span:
     def __enter__(self) -> "Span":
         """Open the region: resolve the parent, push onto the stack, start the clock."""
         stack = self.tracer._stack
-        self.parent = stack[-1].id if stack else self.tracer.root_parent
+        self.parent = stack[-1].id if stack else None
         stack.append(self)
         self.t0 = time.perf_counter()
         return self
@@ -134,28 +130,14 @@ class Tracer:
         Trace file, opened for append (parent directories are created).
         The file is line-buffered so a fork can never duplicate partially
         buffered lines into a child.
-    tags:
-        Attributes merged into every span this tracer records — worker
-        processes tag their spans with ``{"worker": i, "generation": g}``.
-    root_parent:
-        Span id adopted as the parent of top-of-stack spans.  This is how
-        a worker's spans attach under the parent process's dispatch span
-        even though they are recorded in a different file.
     """
 
-    def __init__(
-        self,
-        path: Union[str, "os.PathLike[str]"],
-        tags: Optional[Dict[str, Any]] = None,
-        root_parent: Optional[str] = None,
-    ) -> None:
+    def __init__(self, path: Union[str, "os.PathLike[str]"]) -> None:
         self.path = os.fspath(path)
         parent_dir = os.path.dirname(self.path)
         if parent_dir:
             os.makedirs(parent_dir, exist_ok=True)
         self._fh = open(self.path, "a", buffering=1, encoding="utf-8")
-        self.tags = dict(tags or {})
-        self.root_parent = root_parent
         self._stack: List[Span] = []
         self._next_id = 0
         self._pid = os.getpid()
@@ -166,10 +148,6 @@ class Tracer:
     def span(self, kind: str, /, **attrs: Any) -> Span:
         """Create a span of ``kind`` (enter it with ``with`` to start timing)."""
         self._next_id += 1
-        if self.tags:
-            merged = dict(self.tags)
-            merged.update(attrs)
-            attrs = merged
         return Span(self, kind, f"{self._pid:x}.{self._next_id}", attrs)
 
     def _finish(self, span: "Span") -> None:
@@ -190,49 +168,6 @@ class Tracer:
         }
         self._fh.write(json.dumps(record, separators=(",", ":"), default=repr) + "\n")
         self.spans_written += 1
-
-    # -- cross-process merging --------------------------------------------- #
-
-    def sidecar_dir(self) -> str:
-        """The directory pool workers write their per-batch trace files into."""
-        return self.path + ".workers"
-
-    def absorb_sidecar(self) -> int:
-        """Merge (and delete) every worker trace file from the sidecar directory.
-
-        Worker lines are appended to this tracer's file verbatim — their
-        spans already carry globally unique ids and explicit parents, so
-        no rewriting is needed.  Returns the number of lines merged.
-        Missing directories and racing deletions are tolerated silently;
-        merging is best-effort by design.
-        """
-        directory = self.sidecar_dir()
-        if not os.path.isdir(directory):
-            return 0
-        merged = 0
-        for name in sorted(os.listdir(directory)):
-            if not name.endswith(".jsonl"):
-                continue
-            file_path = os.path.join(directory, name)
-            try:
-                with open(file_path, encoding="utf-8") as handle:
-                    text = handle.read()
-            except OSError:  # pragma: no cover - racing deletion
-                continue
-            for line in text.splitlines():
-                if line.strip():
-                    self._fh.write(line + "\n")
-                    merged += 1
-            try:
-                os.unlink(file_path)
-            except OSError:  # pragma: no cover - racing deletion
-                pass
-        try:
-            os.rmdir(directory)
-        except OSError:
-            pass
-        self.spans_written += merged
-        return merged
 
     # -- lifecycle --------------------------------------------------------- #
 
@@ -270,11 +205,7 @@ def span(kind: str, /, **attrs: Any) -> Union[Span, _NoopSpan]:
     return tracer.span(kind, **attrs)
 
 
-def enable(
-    path: Union[str, "os.PathLike[str]"],
-    tags: Optional[Dict[str, Any]] = None,
-    root_parent: Optional[str] = None,
-) -> Tracer:
+def enable(path: Union[str, "os.PathLike[str]"]) -> Tracer:
     """Start tracing this process into the JSONL file at ``path``.
 
     Replaces (and closes) any previously enabled tracer.  The file is
@@ -284,7 +215,7 @@ def enable(
     global _TRACER, _ATEXIT_REGISTERED
     if _TRACER is not None:
         _TRACER.close()
-    _TRACER = Tracer(path, tags=tags, root_parent=root_parent)
+    _TRACER = Tracer(path)
     if not _ATEXIT_REGISTERED:
         atexit.register(disable)
         _ATEXIT_REGISTERED = True
@@ -304,17 +235,11 @@ def enabled() -> bool:
     return _TRACER is not None
 
 
-def active() -> Optional[Tracer]:
-    """The active tracer, or ``None`` — used to reach sidecar merging."""
-    return _TRACER
-
-
 def _drop_in_forked_child() -> None:
     """Forked children must never write the parent's trace file.
 
     The inherited tracer is simply abandoned (its file is line-buffered,
-    so the child's copy holds no pending bytes to accidentally flush);
-    pool workers open their own sidecar files per batch instead.
+    so the child's copy holds no pending bytes to accidentally flush).
     """
     global _TRACER
     _TRACER = None

@@ -18,8 +18,8 @@ cell" with a declarative cross of four axes:
 
 :class:`~repro.workloads.matrix.WorkloadMatrix` expands the cross into
 :class:`~repro.campaign.spec.ScenarioSpec` cells with deterministic
-per-cell digests; they run through the ordinary campaign runner (so
-ParallelEngine shards them and VerdictStore replays them) and can be
+per-cell digests; they run through the ordinary campaign runner (so a
+VerdictStore replays them) and can be
 registered next to the bundled scenarios via :func:`install_matrix`.
 ``python -m repro.workloads`` is the command-line front end.
 """

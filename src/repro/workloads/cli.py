@@ -24,13 +24,12 @@ Show the axes themselves::
     PYTHONPATH=src python -m repro.workloads --families
     PYTHONPATH=src python -m repro.workloads --properties
 
-Run the quick matrix on a 2-worker ParallelEngine against a persistent
-verdict store, then prove the warm re-run replays from disk::
+Run the quick matrix against a persistent verdict store, then prove the
+warm re-run replays from disk::
 
-    PYTHONPATH=src python -m repro.workloads --run --quick \\
-        --engine parallel --workers 2 --store /tmp/verdicts
-    PYTHONPATH=src python -m repro.workloads --run --quick \\
-        --engine parallel --workers 2 --store /tmp/verdicts --min-replayed 0.9
+    PYTHONPATH=src python -m repro.workloads --run --quick --store /tmp/verdicts
+    PYTHONPATH=src python -m repro.workloads --run --quick --store /tmp/verdicts \\
+        --min-replayed 0.9
 
 Run a budgeted sweep: a seeded stratified sample of 50 cells (quota per
 family x property stratum), logging each result incrementally so a killed
@@ -233,15 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engine",
         default=None,
-        choices=["direct", "synchronous", "cached", "parallel"],
+        choices=["direct", "synchronous", "cached"],
         help="execution backend override (default: each cell's declared backend)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the parallel backend (implies --engine parallel)",
     )
     parser.add_argument(
         "--quick", action="store_true", help="quick ladders and reduced search budgets"
@@ -377,8 +369,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     if args.min_replayed is not None and args.store is None:
         parser.error("--min-replayed requires --store")
-    if args.workers is not None and args.engine is not None and args.engine != "parallel":
-        parser.error("--workers requires the parallel backend (drop --engine or use --engine parallel)")
     if args.importance_from is not None and args.sample is None:
         parser.error("--importance-from requires --sample BUDGET")
     if args.sample is not None and not args.run:
@@ -455,7 +445,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 resume_path,
                 scenarios=specs,
                 engine=args.engine,
-                workers=args.workers,
                 quick=True if args.quick else None,
                 store=args.store,
                 log_path=args.log,
@@ -467,20 +456,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = run_campaign(
                 specs,
                 engine=args.engine,
-                workers=args.workers,
                 quick=args.quick,
                 name=f"workload-matrix(seed={args.seed})",
                 store=args.store,
                 log_path=args.log,
             )
         print(report.summary_table())
-        parallel_totals = report.parallel_stats()
-        if parallel_totals.get("parallel_batches"):
-            print(
-                "parallel: {parallel_batches} batch(es), {parallel_chunks} chunk(s), "
-                "{parallel_forks} fork(s), {payload_ships} payload ship(s) "
-                "({payload_ship_bytes} bytes), {coalesced_batches} coalesced".format(**parallel_totals)
-            )
         if not args.no_report:
             default = Path(args.resume) if args.resume is not None else DEFAULT_MATRIX_REPORT
             path = write_report(report, args.output if args.output is not None else default)

@@ -4,8 +4,7 @@ A :class:`WorkloadMatrix` crosses **graph families** x **properties** x
 **decider constructions** x **identifier regimes** into
 :class:`~repro.campaign.spec.ScenarioSpec` cells that run through the
 ordinary campaign machinery (:func:`~repro.campaign.runner.run_campaign` /
-:func:`~repro.campaign.runner.resume_campaign`), so the
-:class:`~repro.engine.parallel.ParallelEngine` shards cells and a
+:func:`~repro.campaign.runner.resume_campaign`), so a
 :class:`~repro.engine.persistent.VerdictStore` replays them exactly like
 the hand-written bundle.  Compatibility is declarative: a property axis
 names the family tags it requires, and trap constructions whitelist the
@@ -27,7 +26,7 @@ seed and its own name (SHA-256, platform independent), and the expansion
 (:func:`expand_records` / :func:`expand_json` / :func:`expand_ndjson`)
 contains no timestamps, so the same matrix seed always produces a
 byte-identical expansion and the same per-cell spec digests — the property
-the resumable sweeps and the worker-count determinism tests are built on.
+the resumable sweeps and the determinism tests are built on.
 """
 
 from __future__ import annotations

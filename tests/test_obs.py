@@ -1,9 +1,9 @@
 """The observability layer: span tracing, typed metrics, and trace reports.
 
 Load-bearing claims: tracing disabled is a true no-op (no file, no
-behaviour change), spans written under ParallelEngine workers merge into
-one coherent tree under the parent's dispatch span for any worker count,
-verdicts are byte-identical with tracing on vs off, the typed metrics
+behaviour change), a forked child never writes the parent's trace file
+and stamps its own pid into the span ids it writes, verdicts are
+byte-identical with tracing on vs off, the typed metrics
 registry kind-checks and diffs, and ``python -m repro.obs report`` totals
 agree exactly with the campaign report's replay/compute split.
 """
@@ -14,44 +14,24 @@ import os
 import pytest
 
 from repro.campaign import run_campaign
-from repro.campaign.spec import CampaignReport, ScenarioResult
-from repro.engine import CachedEngine, ParallelEngine, get_pool, shutdown_pool
+from repro.campaign.spec import ScenarioResult
+from repro.engine import CachedEngine, EngineStats
 from repro.graphs import cycle_graph
-from repro.local_model import NO, YES
+from repro.local_model import NO, YES, FunctionIdObliviousAlgorithm
 from repro.obs import metrics, trace
 from repro.obs.cli import main as obs_main
 from repro.obs.metrics import (
     COUNTER,
-    FORKS,
     GAUGE,
     HISTOGRAM,
-    POOL_COUNTERS,
     Metric,
     MetricsRegistry,
     diff_snapshots,
 )
 from repro.obs.report import aggregate, load_trace
 
-#: Forced-pool configuration: tiny floors, no cost model, deterministic routing.
-SHARD = dict(min_parallel_jobs=2, min_parallel_nodes=8, adaptive=False)
-
 #: The two quick campaign scenarios the replay-exactness test sweeps.
 SMOKE = ["classic-cycles-vs-paths", "sec2-promise-cycles"]
-
-
-class Deg2Decider:
-    """Module-level (hence picklable) Id-oblivious cycle decider."""
-
-    name = "deg2"
-    radius = 1
-    uses_identifiers = False
-
-    def evaluate(self, view):
-        return YES if view.center_degree() == 2 else NO
-
-
-def _jobs(count=8, size=12):
-    return [(cycle_graph(size, label="x"), None) for _ in range(count)]
 
 
 @pytest.fixture(autouse=True)
@@ -100,13 +80,16 @@ def test_span_tree_written_with_parents_attrs_and_errors(tmp_path):
 
 def test_enable_tags_and_unserialisable_attrs(tmp_path):
     path = tmp_path / "t.jsonl"
-    trace.enable(path, tags={"worker": 7})
+    # Spans carry only their own attrs: enable() takes no process-wide tags.
+    with pytest.raises(TypeError):
+        trace.enable(path, tags={"worker": 7})
+    assert not trace.enabled()
+    trace.enable(path)
     with trace.span("x", payload=object()):
         pass
     trace.disable()
     (span,) = load_trace(str(path))
-    assert span["attrs"]["worker"] == 7
-    assert "object object" in span["attrs"]["payload"]  # repr fallback
+    assert "object object" in span["attrs"]["payload"]
 
 
 def test_trace_skips_garbled_lines(tmp_path):
@@ -123,64 +106,47 @@ def test_trace_skips_garbled_lines(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# Worker trace merging
+# Forked children
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_parallel_trace_merges_into_one_tree(tmp_path, workers):
-    shutdown_pool()
-    jobs = _jobs()
-    baseline = CachedEngine().run_many(Deg2Decider(), jobs)
-    try:
-        untraced = ParallelEngine(workers=workers, **SHARD).run_many(Deg2Decider(), jobs)
-        path = tmp_path / "t.jsonl"
-        trace.enable(path)
-        traced = ParallelEngine(workers=workers, **SHARD).run_many(Deg2Decider(), jobs)
-        trace.disable()
-    finally:
-        shutdown_pool()
-    # Verdicts are identical tracing on vs off (and match the serial engine).
-    assert traced == untraced == baseline
-    spans = load_trace(str(path))
-    ids = {s["id"] for s in spans}
-    roots = [s for s in spans if s["parent"] not in ids]
-    # Every parent resolves in-trace: the worker sidecars merged coherently.
-    assert len(roots) == 1 and roots[0]["kind"] == "parallel.run_many"
-    assert roots[0]["parent"] is None
-    chunks = [s for s in spans if s["kind"] == "pool.chunk"]
-    if workers == 1:
-        # A 1-worker engine never forks (the pool would only add IPC cost);
-        # the whole batch runs in-process under the root span.
-        assert chunks == []
-        assert {s["kind"] for s in spans} >= {"parallel.run_many", "cached.run"}
-    else:
-        assert chunks, "forced fan-out must produce worker chunk spans"
-        fan_out = [s for s in spans if s["kind"] == "pool.fan_out"]
-        assert len(fan_out) == 1
-        assert all(c["parent"] == fan_out[0]["id"] for c in chunks)
-        seen_workers = {c["attrs"]["worker"] for c in chunks}
-        assert seen_workers <= set(range(workers))
-        assert len(seen_workers) >= 2
-        for c in chunks:
-            assert c["attrs"]["generation"] >= 1
-    # The sidecar directory is fully absorbed and removed.
-    assert not os.path.exists(str(path) + ".workers")
-
-
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_worker_pids_differ_from_parent_in_span_ids(tmp_path):
-    shutdown_pool()
+    # A forked worker never writes the parent's trace (the inherited tracer
+    # is dropped at fork); a worker that traces into its own file stamps its
+    # own pid into every span id, so the two trees can never collide.
     path = tmp_path / "t.jsonl"
-    try:
-        trace.enable(path)
-        ParallelEngine(workers=2, **SHARD).run_many(Deg2Decider(), _jobs())
-        trace.disable()
-    finally:
-        shutdown_pool()
-    spans = load_trace(str(path))
+    child_path = tmp_path / "child.jsonl"
+    decider = FunctionIdObliviousAlgorithm(
+        lambda view: YES if view.center_degree() == 2 else NO, radius=1, name="deg2"
+    )
+    jobs = [(cycle_graph(12, label="x"), None) for _ in range(4)]
+    untraced = CachedEngine().run_many(decider, jobs)
+    trace.enable(path)
+    with trace.span("parent"):
+        pid = os.fork()
+        if pid == 0:  # child: the inherited tracer must already be gone
+            try:
+                code = 1 if trace.enabled() else 0
+                with trace.span("child"):
+                    CachedEngine().run_many(decider, jobs)
+                trace.enable(child_path)
+                CachedEngine().run_many(decider, jobs)
+                trace.disable()
+                os._exit(code)
+            finally:
+                os._exit(2)
+        _, status = os.waitpid(pid, 0)
+        traced = CachedEngine().run_many(decider, jobs)
+    trace.disable()
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert traced == untraced
     parent_pid = f"{os.getpid():x}"
-    chunk_pids = {s["id"].split(".")[0] for s in spans if s["kind"] == "pool.chunk"}
-    assert chunk_pids and parent_pid not in chunk_pids
+    spans = load_trace(str(path))
+    assert "child" not in {s["kind"] for s in spans}
+    assert {s["id"].split(".")[0] for s in spans} == {parent_pid}
+    child_pids = {s["id"].split(".")[0] for s in load_trace(str(child_path))}
+    assert child_pids == {f"{pid:x}"} and parent_pid not in child_pids
 
 
 # ---------------------------------------------------------------------- #
@@ -229,28 +195,19 @@ def test_snapshot_diff_reports_only_deltas():
     assert deltas == {"a": 3, "b": 1}
 
 
-def test_pool_counters_come_from_the_registry():
-    shutdown_pool()
-    try:
-        pool = get_pool()
-        engine = ParallelEngine(workers=2, **SHARD)
-        jobs = _jobs()
-        engine.run_many(Deg2Decider(), jobs)
-        counters = pool.counters()
-        # One declaration: counters() keys are exactly the typed pool metrics.
-        assert set(counters) == {metric.name for metric in POOL_COUNTERS}
-        # The pinned attribute API reads the same registry.
-        assert pool.forks == counters[FORKS.name] >= 2
-        assert pool.batches == counters["parallel_batches"] >= 1
-        # The engine surfaces per-run deltas of the same keys.
-        assert engine.stats.extra["parallel_batches"] >= 1
-        assert engine.stats.extra["parallel_chunks"] >= 2
-    finally:
-        shutdown_pool()
-
-
-def test_campaign_report_counter_keys_match_metric_names():
-    assert set(CampaignReport.PARALLEL_COUNTER_KEYS) == {m.name for m in POOL_COUNTERS}
+def test_campaign_report_counter_keys_match_metric_names(tmp_path):
+    # Every counter a campaign report carries beyond the core EngineStats
+    # fields is the wire name of a declared Metric: no stringly-typed drift.
+    declared = {m.name for m in vars(metrics).values() if isinstance(m, Metric)}
+    core = set(EngineStats().as_dict())
+    keys = set()
+    for engine in ("synchronous", "cached"):
+        for _ in range(2):  # cold fill, then a warm replay
+            report = run_campaign(SMOKE, engine=engine, quick=True, store=tmp_path / engine)
+            for scenario in report.as_dict()["scenarios"]:
+                keys |= set(scenario["engine_stats"]) - core
+    assert {"store_replayed", "store_computed", "messages_sent"} <= keys
+    assert keys <= declared
 
 
 # ---------------------------------------------------------------------- #

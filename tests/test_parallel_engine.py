@@ -1,11 +1,18 @@
-"""Equivalence of the ParallelEngine with the serial backends.
+"""Shard independence of sweeps on the serial backends.
 
-The sharding contract: for any worker count — including the degenerate
-1-worker pool — the parallel backend produces verdicts and randomised-
-estimation statistics identical to the direct and cached backends.  The
-tests force sharding with tiny parallelism thresholds so the pool paths are
-actually exercised on the small test instances.
+There is no in-process worker pool: to use several cores, a sweep is split
+into shards and each shard runs on its own engine instance, typically in its
+own process.  These tests pin the contract that makes that sound — the one
+the deleted in-process worker pool was held to: for any number of workers
+(independent engine instances, each with its own caches) and any split of
+the jobs, contiguous or striped, the merged verdicts, randomised outputs,
+estimation statistics and work counters equal those of one serial run.
+
+The sweep-level checks (``verify_decider`` reports, Monte-Carlo estimates,
+counter-examples citing their assignment) run on every backend.
 """
+
+import os
 
 import pytest
 
@@ -17,13 +24,7 @@ from repro.decision import (
     estimate_acceptance_probability,
     verify_decider,
 )
-from repro.engine import (
-    CachedEngine,
-    DirectEngine,
-    ParallelEngine,
-    partition_chunks,
-    resolve_engine,
-)
+from repro.engine import CachedEngine, DirectEngine, SynchronousEngine, resolve_engine
 from repro.errors import AlgorithmError
 from repro.graphs import BoundedIdentifierSpace, cycle_graph, grid_graph, path_graph, sequential_assignment
 from repro.local_model import (
@@ -42,61 +43,28 @@ from repro.separation.bounded_ids import (
     small_bound,
 )
 
-# Tiny thresholds so the pool paths run even on the small test inputs;
-# adaptive=False disables the cost model so routing to the pool is
-# deterministic (the model would keep work this small in-process).
-SHARD = dict(min_parallel_jobs=2, min_parallel_nodes=8, adaptive=False)
+
+def _engines():
+    return [DirectEngine(), SynchronousEngine(), CachedEngine()]
 
 
-def _parallel(workers):
-    return ParallelEngine(workers=workers, **SHARD)
+def _shard_indices(count, shards, mode="contiguous"):
+    """Split ``range(count)`` into at most ``shards`` non-empty index lists."""
+    if mode == "striped":
+        parts = [list(range(k, count, shards)) for k in range(shards)]
+    else:
+        parts = [list(range(k * count // shards, (k + 1) * count // shards)) for k in range(shards)]
+    return [part for part in parts if part]
 
 
-# ---------------------------------------------------------------------- #
-# Partitioning
-# ---------------------------------------------------------------------- #
-
-
-@pytest.mark.parametrize("count,shards", [(0, 4), (1, 4), (5, 2), (8, 3), (12, 12), (7, 100)])
-def test_partition_chunks_covers_range_contiguously(count, shards):
-    chunks = partition_chunks(count, shards)
-    assert len(chunks) <= max(1, shards)
-    flattened = [i for start, stop in chunks for i in range(start, stop)]
-    assert flattened == list(range(count))
-    assert all(stop > start for start, stop in chunks)
-    # Determinism: the partition is a pure function of (count, shards).
-    assert chunks == partition_chunks(count, shards)
-
-
-def test_partition_chunks_balanced():
-    sizes = [stop - start for start, stop in partition_chunks(10, 4)]
-    assert max(sizes) - min(sizes) <= 1
-
-
-@pytest.mark.parametrize("count,shards", [(0, 4), (1, 4), (5, 2), (8, 3), (12, 12), (7, 100)])
-def test_partition_chunks_striped_covers_range(count, shards):
-    chunks = partition_chunks(count, shards, mode="striped")
-    assert len(chunks) <= max(1, shards)
-    flattened = sorted(i for chunk in chunks for i in chunk)
-    assert flattened == list(range(count))
-    assert all(len(chunk) > 0 for chunk in chunks)
-    sizes = [len(chunk) for chunk in chunks]
-    if sizes:
-        assert max(sizes) - min(sizes) <= 1
-    assert chunks == partition_chunks(count, shards, mode="striped")
-
-
-def test_partition_chunks_striped_interleaves():
-    # Jobs sorted big-first must spread across workers, not pile on worker 0.
-    chunks = partition_chunks(6, 2, mode="striped")
-    assert [list(c) for c in chunks] == [[0, 2, 4], [1, 3, 5]]
-
-
-def test_partition_chunks_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="striped"):
-        partition_chunks(4, 2, mode="zigzag")
-    with pytest.raises(ValueError):
-        ParallelEngine(workers=2, partition="zigzag")
+def _run_sharded(run, jobs, workers, mode="contiguous"):
+    """Run ``jobs`` in shards, one fresh engine per shard; merge in job order."""
+    merged = [None] * len(jobs)
+    for indices in _shard_indices(len(jobs), workers, mode):
+        outputs = run(CachedEngine(), [jobs[i] for i in indices])
+        for i, output in zip(indices, outputs):
+            merged[i] = output
+    return merged
 
 
 # ---------------------------------------------------------------------- #
@@ -105,15 +73,12 @@ def test_partition_chunks_rejects_unknown_mode():
 
 
 def test_resolve_engine_knows_parallel():
-    engine = resolve_engine("parallel")
-    assert isinstance(engine, ParallelEngine)
-    with pytest.raises(AlgorithmError, match="parallel"):
-        resolve_engine("bogus")
-
-
-def test_workers_must_be_positive():
-    with pytest.raises(ValueError):
-        ParallelEngine(workers=0)
+    # "parallel" is no longer a backend name; the error lists the ones left.
+    with pytest.raises(AlgorithmError) as excinfo:
+        resolve_engine("parallel")
+    message = str(excinfo.value)
+    for name in ("parallel", "cached", "direct", "synchronous"):
+        assert name in message
 
 
 # ---------------------------------------------------------------------- #
@@ -147,41 +112,55 @@ def _cycle_decider():
     return FunctionIdObliviousAlgorithm(evaluate, radius=1, name="cycle-decider")
 
 
-def _verdict_matrix(engine):
+def _coin_decider():
+    return FunctionRandomisedAlgorithm(
+        lambda view, rng: YES if rng.random() < 0.7 else NO, radius=1, name="biased-coin"
+    )
+
+
+def _parity_decider(radius):
+    return FunctionAlgorithm(
+        lambda view: YES if view.max_visible_identifier() % 2 == 0 else NO, radius=radius, name="parity"
+    )
+
+
+def _decide_jobs():
     family = _cycle_path_family()
-    decider = _cycle_decider()
-    matrix = []
-    for graph, _expected in family.labelled_instances():
-        for ids in assignments_for(graph, samples=5, seed=3):
-            matrix.append(decide(decider, graph, ids, engine=engine))
-    return matrix
+    return [
+        (graph, ids)
+        for graph, _expected in family.labelled_instances()
+        for ids in assignments_for(graph, samples=5, seed=3)
+    ]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_verdict_matrix_identical_to_direct(workers):
-    assert _verdict_matrix(DirectEngine()) == _verdict_matrix(_parallel(workers))
+    decider = _cycle_decider()
+    jobs = _decide_jobs()
+    serial = [decide(decider, graph, ids, engine=DirectEngine()) for graph, ids in jobs]
+
+    def run(engine, shard):
+        return [decide(decider, graph, ids, engine=engine) for graph, ids in shard]
+
+    assert _run_sharded(run, jobs, workers) == serial
 
 
 def test_verify_decider_reports_match_across_backends():
     family = _cycle_path_family()
     prop = _cycle_property()
-    reports = {}
-    for key, engine in [
-        ("direct", DirectEngine()),
-        ("cached", CachedEngine()),
-        ("parallel-2", _parallel(2)),
-        ("parallel-1", _parallel(1)),
-    ]:
-        reports[key] = verify_decider(_cycle_decider(), prop, family=family, samples=5, engine=engine)
-    baseline = reports["direct"]
-    for report in reports.values():
+    reports = [
+        verify_decider(_cycle_decider(), prop, family=family, samples=5, engine=engine)
+        for engine in _engines()
+    ]
+    baseline = reports[0]
+    for report in reports:
         assert report.correct
         assert report.instances_checked == baseline.instances_checked
         assert report.assignments_checked == baseline.assignments_checked
 
 
 # ---------------------------------------------------------------------- #
-# Property P (Section 2): the multi-stage LD decider under sharding
+# Property P (Section 2): the multi-stage LD decider on every backend
 # ---------------------------------------------------------------------- #
 
 
@@ -195,105 +174,91 @@ def test_property_p_scenario_matches_direct():
         decider = BoundedIdsLDDecider(bound_fn=small_bound, tree_depth_override=depth_fn)
         return verify_decider(decider, prop, family=fam, id_space=space, samples=2, engine=engine)
 
-    direct = verify(DirectEngine())
-    parallel = verify(_parallel(2))
-    assert direct.correct and parallel.correct
-    assert direct.assignments_checked == parallel.assignments_checked
-    assert direct.summary() == parallel.summary()
+    direct, *others = [verify(engine) for engine in _engines()]
+    assert direct.correct
+    for report in others:
+        assert report.correct
+        assert report.assignments_checked == direct.assignments_checked
+        assert report.summary() == direct.summary()
 
 
 # ---------------------------------------------------------------------- #
-# Sharded single-graph runs
+# Sharded single-graph runs and batches
 # ---------------------------------------------------------------------- #
 
 
 def test_sharded_run_matches_direct_on_id_dependent_algorithm():
     graph = grid_graph(8, 8, label="g")
     ids = sequential_assignment(graph)
-    algorithm = FunctionAlgorithm(
-        lambda view: YES if view.max_visible_identifier() % 2 == 0 else NO, radius=2, name="parity"
-    )
+    algorithm = _parity_decider(radius=2)
     expected = run_algorithm(algorithm, graph, ids)
-    engine = _parallel(2)
-    assert run_algorithm(algorithm, graph, ids, engine=engine) == expected
-    # The pool actually ran (the grid is above the sharding threshold).
-    assert engine.stats.extra.get("parallel_batches", 0) >= 1
-    assert engine.stats.nodes_run == graph.num_nodes()
+    nodes = list(graph.nodes())
+    merged = {}
+    nodes_run = 0
+    for indices in _shard_indices(len(nodes), 2):
+        worker = CachedEngine()
+        merged.update(worker.run(algorithm, graph, ids, nodes=[nodes[i] for i in indices]))
+        nodes_run += worker.stats.nodes_run
+    assert merged == expected
+    assert nodes_run == graph.num_nodes()
 
 
 def test_stats_are_exact_even_when_a_worker_takes_several_chunks():
-    # More chunks than workers: a fast worker picks up several chunks; each
-    # chunk must contribute its own counters exactly once.
+    # Eight chunks over three workers: each worker runs several chunks, and
+    # each chunk must contribute its own counters exactly once.
     graphs = [cycle_graph(12, label="x") for _ in range(16)]
-    engine = ParallelEngine(workers=3, min_parallel_jobs=2)
+    jobs = [(g, None) for g in graphs]
+    workers = [CachedEngine() for _ in range(3)]
+    expected = CachedEngine().run_many(_cycle_decider(), jobs)
     for _ in range(3):
-        engine.reset_stats()
-        outputs = engine.run_many(_cycle_decider(), [(g, None) for g in graphs])
-        assert len(outputs) == 16
-        assert engine.stats.nodes_run == 16 * 12
+        for worker in workers:
+            worker.reset_stats()
+        outputs = []
+        for k, indices in enumerate(_shard_indices(len(jobs), 8)):
+            outputs.extend(workers[k % 3].run_many(_cycle_decider(), [jobs[i] for i in indices]))
+        assert outputs == expected
+        assert sum(worker.stats.nodes_run for worker in workers) == 16 * 12
 
 
-def test_empty_sweeps_short_circuit_without_forking():
-    # partition_chunks(0, k) is [] — an empty batch must never touch the
-    # pool (no forks, no payload ships), even when the parallelism
-    # thresholds would otherwise send it to the pool path.
-    from repro.engine import get_pool
+def test_empty_sweeps_short_circuit_without_forking(monkeypatch):
+    # An empty sweep returns at once on every backend, and no backend ever
+    # forks a process to run a sweep.
+    def no_fork():
+        raise AssertionError("a sweep forked a process")
 
-    forks_before = get_pool().forks
-    engine = ParallelEngine(workers=3, min_parallel_jobs=0, min_parallel_nodes=0, adaptive=False)
-    assert engine.run_many(_cycle_decider(), []) == []
-    assert engine.run_randomised_many(_coin_decider(), []) == []
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
     empty = InstanceFamily(name="empty", yes_instances=[], no_instances=[])
-    report = verify_decider(_cycle_decider(), _cycle_property(), family=empty, engine=engine)
-    assert report.correct and report.instances_checked == 0
-    assert "parallel_batches" not in engine.stats.extra
-    assert get_pool().forks == forks_before
-
-
-def test_inherited_payload_is_cleared_after_each_batch():
-    # The fork-inheritance global (used for unpicklable payloads) must
-    # never leak between batches: a stale payload would let a later fork
-    # adopt yesterday's jobs.  The pool clears it in a finally.
-    import repro.engine.pool as pool_mod
-
-    engine = _parallel(2)
-    graphs = [cycle_graph(12, label="x") for _ in range(4)]
-    outputs = engine.run_many(_cycle_decider(), [(g, None) for g in graphs])
-    assert len(outputs) == 4
-    assert engine.stats.extra.get("parallel_batches", 0) >= 1
-    assert pool_mod._INHERITED is None
+    for engine in _engines():
+        assert engine.run_many(_cycle_decider(), []) == []
+        assert engine.run_randomised_many(_coin_decider(), []) == []
+        report = verify_decider(_cycle_decider(), _cycle_property(), family=empty, engine=engine)
+        assert report.correct and report.instances_checked == 0
+        assert engine.stats.nodes_run == 0
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("mode", ["contiguous", "striped"])
 def test_verdicts_identical_across_workers_and_partitioning(workers, mode):
-    # The ISSUE acceptance bar: serial and parallel verdicts byte-identical
-    # for workers in {1, 2, 4} under both partition modes, deterministic
-    # and randomised drivers alike.
-    engine = ParallelEngine(workers=workers, partition=mode, **SHARD)
+    # Serial and sharded verdicts are identical for 1, 2 and 4 workers under
+    # both partition modes, deterministic and randomised drivers alike.
     serial = CachedEngine()
     det = _cycle_decider()
     jobs = [(cycle_graph(n, label="x"), None) for n in (12, 16, 9, 24, 7, 13)]
-    assert engine.run_many(det, jobs) == serial.run_many(det, jobs)
+    assert _run_sharded(lambda e, s: e.run_many(det, s), jobs, workers, mode) == serial.run_many(det, jobs)
     coin = _coin_decider()
     rjobs = [(g, None, 100 + k) for k, (g, _) in enumerate(jobs)]
-    assert engine.run_randomised_many(coin, rjobs) == serial.run_randomised_many(coin, rjobs)
+    assert _run_sharded(lambda e, s: e.run_randomised_many(coin, s), rjobs, workers, mode) == (
+        serial.run_randomised_many(coin, rjobs)
+    )
     graph = grid_graph(6, 6, label="g")
     ids = sequential_assignment(graph)
-    parity = FunctionAlgorithm(
-        lambda view: YES if view.max_visible_identifier() % 2 == 0 else NO, radius=1, name="parity"
-    )
-    assert engine.run(parity, graph, ids) == serial.run(parity, graph, ids)
-    assert engine.run_randomised(coin, graph, seed=7) == serial.run_randomised(coin, graph, seed=7)
-
-
-def test_one_worker_pool_is_serial_but_equivalent():
-    graph = cycle_graph(32, label="x")
-    engine = _parallel(1)
-    outputs = run_algorithm(_cycle_decider(), graph, engine=engine)
-    assert outputs == run_algorithm(_cycle_decider(), graph)
-    # workers=1 must not fork at all.
-    assert "parallel_batches" not in engine.stats.extra
+    parity = _parity_decider(radius=1)
+    nodes = list(graph.nodes())
+    merged = {}
+    for indices in _shard_indices(len(nodes), workers, mode):
+        merged.update(CachedEngine().run(parity, graph, ids, nodes=[nodes[i] for i in indices]))
+    assert merged == serial.run(parity, graph, ids)
+    assert CachedEngine().run_randomised(coin, graph, seed=7) == serial.run_randomised(coin, graph, seed=7)
 
 
 # ---------------------------------------------------------------------- #
@@ -301,33 +266,25 @@ def test_one_worker_pool_is_serial_but_equivalent():
 # ---------------------------------------------------------------------- #
 
 
-def _coin_decider():
-    return FunctionRandomisedAlgorithm(
-        lambda view, rng: YES if rng.random() < 0.7 else NO, radius=1, name="biased-coin"
-    )
-
-
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_randomised_run_is_shard_independent(workers):
+    # Each job carries its own seed, so how the jobs are split across
+    # workers never changes a node's random bits.
     graph = cycle_graph(40, label="x")
-    serial = run_randomised_algorithm(_coin_decider(), graph, seed=11)
-    sharded = run_randomised_algorithm(_coin_decider(), graph, seed=11, engine=_parallel(workers))
-    assert serial == sharded
+    jobs = [(graph, None, 11 + k) for k in range(6)]
+    serial = [run_randomised_algorithm(_coin_decider(), g, seed=seed) for g, _, seed in jobs]
+    sharded = _run_sharded(lambda e, s: e.run_randomised_many(_coin_decider(), s), jobs, workers)
+    assert sharded == serial
 
 
 def test_estimation_statistics_match_serial_backends():
     graph = cycle_graph(24, label="x")
-    estimates = {
-        key: estimate_acceptance_probability(_coin_decider(), graph, trials=10, seed=5, engine=engine)
-        for key, engine in [
-            ("direct", DirectEngine()),
-            ("cached", CachedEngine()),
-            ("parallel-2", _parallel(2)),
-            ("parallel-1", _parallel(1)),
-        ]
-    }
-    baseline = estimates["direct"]
-    for estimate in estimates.values():
+    estimates = [
+        estimate_acceptance_probability(_coin_decider(), graph, trials=10, seed=5, engine=engine)
+        for engine in _engines()
+    ]
+    baseline = estimates[0]
+    for estimate in estimates:
         assert estimate.accepts == baseline.accepts
         assert estimate.trials == baseline.trials
         assert estimate.acceptance_rate == baseline.acceptance_rate
@@ -342,24 +299,26 @@ def test_first_counterexample_cites_assignment():
     family = _cycle_path_family(sizes=(8,))
     prop = _cycle_property()
     always_yes = FunctionIdObliviousAlgorithm(lambda view: YES, radius=1, name="always-yes")
-    report = verify_decider(always_yes, prop, family=family, samples=2, engine=_parallel(2))
-    assert not report.correct
-    first = report.first_counterexample
-    assert first is not None
-    assert first.kind == "false-accept"
-    assert first.ids is not None and len(first.ids) == first.graph.num_nodes()
-    assert "first:" in report.summary()
-    payload = report.as_dict()
-    assert payload["first_counterexample"]["assignment"]
-    assert payload["correct"] is False
+    for engine in _engines():
+        report = verify_decider(always_yes, prop, family=family, samples=2, engine=engine)
+        assert not report.correct
+        first = report.first_counterexample
+        assert first is not None
+        assert first.kind == "false-accept"
+        assert first.ids is not None and len(first.ids) == first.graph.num_nodes()
+        assert "first:" in report.summary()
+        payload = report.as_dict()
+        assert payload["first_counterexample"]["assignment"]
+        assert payload["correct"] is False
 
 
 def test_stop_at_first_failure_still_reports_assignment():
     family = _cycle_path_family(sizes=(8,))
     prop = _cycle_property()
     always_yes = FunctionIdObliviousAlgorithm(lambda view: YES, radius=1, name="always-yes")
-    report = verify_decider(
-        always_yes, prop, family=family, samples=2, stop_at_first_failure=True, engine=_parallel(2)
-    )
-    assert len(report.counter_examples) == 1
-    assert report.first_counterexample.as_dict()["assignment"] is not None
+    for engine in _engines():
+        report = verify_decider(
+            always_yes, prop, family=family, samples=2, stop_at_first_failure=True, engine=engine
+        )
+        assert len(report.counter_examples) == 1
+        assert report.first_counterexample.as_dict()["assignment"] is not None

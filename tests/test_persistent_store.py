@@ -2,7 +2,7 @@
 
 The contract under test: wrapping any engine in a :class:`VerdictStore`
 (``engine.with_store(path)``) never changes a single verdict — cold and
-warm sweeps are byte-identical for every worker count — while the second
+warm sweeps are byte-identical on every backend — while the second
 and later sweeps replay settled jobs from disk instead of recomputing
 them, and a truncated segment line (a run killed mid-append) costs one
 verdict, not the store.
@@ -21,7 +21,6 @@ from repro.decision import (
 from repro.engine import (
     CachedEngine,
     DirectEngine,
-    ParallelEngine,
     PersistentEngine,
     StoreCorruptionWarning,
     VerdictStore,
@@ -91,57 +90,68 @@ def _verify(engine, samples=4):
 
 
 # ---------------------------------------------------------------------- #
-# Cold vs warm equivalence across worker counts
+# Cold vs warm equivalence across backends
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_cold_and_warm_sweeps_are_byte_identical(tmp_path, workers):
+@pytest.mark.parametrize("passes", [1, 2, 4])
+def test_cold_and_warm_sweeps_are_byte_identical(tmp_path, passes):
+    # One cold sweep, then ``passes`` warm sweeps, each on a freshly opened
+    # store: every warm sweep replays everything and changes nothing.
     baseline = _verify(DirectEngine())
+    for inner in ("direct", "synchronous", "cached"):
 
-    def engine():
-        inner = ParallelEngine(workers=workers, min_parallel_jobs=2, min_parallel_nodes=8)
-        return inner.with_store(tmp_path / "store")
+        def engine():
+            return PersistentEngine(tmp_path / inner, inner=inner)
 
-    cold_engine = engine()
-    cold = _verify(cold_engine)
-    cold_engine.store.close()
-    # Segments are loaded when a store opens, so the warm engine is built
-    # only after the cold run has settled its verdicts on disk.
-    warm = _verify(engine())
+        cold_engine = engine()
+        cold = _verify(cold_engine)
+        cold_engine.store.close()
+        # Segments are loaded when a store opens, so each warm engine is
+        # built only after the previous run has settled its verdicts on disk.
+        warms = []
+        for _ in range(passes):
+            warm_engine = engine()
+            warms.append(_verify(warm_engine))
+            assert warm_engine.store.appends == 0
+            warm_engine.store.close()
 
-    for report in (cold, warm):
-        assert report.correct == baseline.correct
-        assert report.instances_checked == baseline.instances_checked
-        assert report.assignments_checked == baseline.assignments_checked
-        assert report.as_dict()["first_counterexample"] == baseline.as_dict()["first_counterexample"]
-    # The cold sweep computed everything; the warm sweep replayed everything.
-    assert cold.jobs_replayed == 0 and cold.jobs_computed == cold.assignments_checked
-    assert warm.jobs_computed == 0 and warm.jobs_replayed == warm.assignments_checked
+        for report in (cold, *warms):
+            assert report.correct == baseline.correct
+            assert report.instances_checked == baseline.instances_checked
+            assert report.assignments_checked == baseline.assignments_checked
+            assert report.as_dict()["first_counterexample"] == baseline.as_dict()["first_counterexample"]
+        # The cold sweep computed everything; the warm sweeps replayed everything.
+        assert cold.jobs_replayed == 0 and cold.jobs_computed == cold.assignments_checked
+        for warm in warms:
+            assert warm.jobs_computed == 0 and warm.jobs_replayed == warm.assignments_checked
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_randomised_estimates_replay_identically(tmp_path, workers):
+@pytest.mark.parametrize("passes", [1, 2, 4])
+def test_randomised_estimates_replay_identically(tmp_path, passes):
     graph = cycle_graph(24, label="x")
     baseline = estimate_acceptance_probability(_coin_decider(), graph, trials=10, seed=5)
+    for inner in ("direct", "synchronous", "cached"):
 
-    def engine():
-        inner = ParallelEngine(workers=workers, min_parallel_jobs=2, min_parallel_nodes=8)
-        return inner.with_store(tmp_path / "store")
+        def engine():
+            return PersistentEngine(tmp_path / inner, inner=inner)
 
-    cold_engine = engine()
-    cold = estimate_acceptance_probability(_coin_decider(), graph, trials=10, seed=5, engine=cold_engine)
-    cold_engine.store.close()
-    warm = estimate_acceptance_probability(_coin_decider(), graph, trials=10, seed=5, engine=engine())
+        cold_engine = engine()
+        cold = estimate_acceptance_probability(_coin_decider(), graph, trials=10, seed=5, engine=cold_engine)
+        cold_engine.store.close()
+        assert cold.accepts == baseline.accepts
+        assert cold.trials_replayed == 0 and cold.trials_computed == 10
+        for _ in range(passes):
+            warm_engine = engine()
+            warm = estimate_acceptance_probability(_coin_decider(), graph, trials=10, seed=5, engine=warm_engine)
+            warm_engine.store.close()
+            assert warm.accepts == baseline.accepts
+            assert warm.trials_computed == 0 and warm.trials_replayed == 10
 
-    assert cold.accepts == warm.accepts == baseline.accepts
-    assert cold.trials_replayed == 0 and cold.trials_computed == 10
-    assert warm.trials_computed == 0 and warm.trials_replayed == 10
 
-
-@pytest.mark.parametrize("inner", ["direct", "synchronous", "cached", "parallel"])
+@pytest.mark.parametrize("inner", ["direct", "synchronous", "cached"])
 def test_store_wraps_every_backend_equivalently(tmp_path, inner):
-    # The store seam composes with all four existing backends; verdicts are
+    # The store seam composes with all three existing backends; verdicts are
     # unchanged whether the sweep computes (cold) or replays (warm).
     baseline = _verify(DirectEngine())
     cold_engine = PersistentEngine(tmp_path / inner, inner=inner)
@@ -339,6 +349,32 @@ def test_duplicate_appends_are_suppressed_after_front_eviction(tmp_path):
     store.close()
     reopened = VerdictStore(tmp_path / "store", max_memory_entries=100)
     assert len(reopened) == 5
+
+
+def test_front_evicted_jobs_are_counted_when_recomputed(tmp_path):
+    # Three settled jobs, a two-entry memory front: the first job is still
+    # on disk but no longer in memory, so asking for it again recomputes it.
+    # That gap is counted, on the miss path only.
+    store = VerdictStore(tmp_path / "store", max_memory_entries=2)
+    engine = CachedEngine().with_store(store)
+    graphs = [cycle_graph(n, label="x") for n in (5, 6, 7)]
+    for graph in graphs:
+        run_algorithm(_cycle_decider(), graph, engine=engine)
+    assert engine.stats.extra["store_computed"] == 3
+    assert "store_evicted_misses" not in engine.stats.extra
+
+    run_algorithm(_cycle_decider(), graphs[2], engine=engine)  # still in the front
+    assert engine.stats.extra["store_replayed"] == 1
+    assert "store_evicted_misses" not in engine.stats.extra
+
+    expected = run_algorithm(_cycle_decider(), graphs[0])
+    assert run_algorithm(_cycle_decider(), graphs[0], engine=engine) == expected
+    assert engine.stats.extra["store_evicted_misses"] == 1
+    assert engine.stats.extra["store_computed"] == 4
+    assert store.appends == 3  # recomputed, never re-appended
+
+    run_algorithm(_cycle_decider(), cycle_graph(8, label="x"), engine=engine)  # never stored
+    assert engine.stats.extra["store_evicted_misses"] == 1
 
 
 def test_algorithm_fingerprint_distinguishes_code_and_parameters():

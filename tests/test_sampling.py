@@ -4,7 +4,7 @@ Covers the streaming-matrix sampling contract: byte-identical
 :class:`~repro.workloads.sampling.SamplePlan` for the same
 ``(seed, budget, strata, filters)``, importance-directed budgets spent on
 flipped / stale / near-defeat cells, identical campaign digests across
-worker counts *and* partition modes, and crash-resume through the
+backends, worker counts *and* chunkings, and crash-resume through the
 append-only JSONL result log.
 """
 
@@ -18,7 +18,6 @@ from repro.campaign.runner import (
     run_campaign,
     write_report,
 )
-from repro.engine.parallel import ParallelEngine
 from repro.workloads import (
     SamplePlan,
     default_matrix,
@@ -152,24 +151,35 @@ class TestImportanceSampling:
 
 class TestSampledSweepDeterminism:
     def test_campaign_digests_identical_across_workers_and_partition(self):
+        # A worker is one campaign run on its own engine over one chunk of
+        # the plan; the merged rows must not depend on the backend, the
+        # number of workers or how the plan is chunked.
         matrix = default_matrix(seed=5)
         plan = stratified_sample(matrix, budget=8, seed=2, **_VERIFY)
+        specs = list(plan.iter_specs(matrix))
         baseline = None
-        for workers, partition in [
-            (1, "contiguous"),
-            (2, "contiguous"),
-            (2, "striped"),
-            (4, "striped"),
+        for engine, workers, partition in [
+            (None, 1, "contiguous"),
+            ("direct", 2, "contiguous"),
+            ("cached", 2, "striped"),
+            ("synchronous", 4, "striped"),
         ]:
-            engine = ParallelEngine(workers=workers, partition=partition)
-            report = run_campaign(plan.iter_specs(matrix), engine=engine, quick=True)
-            rows = _verdict_rows(report)
+            if partition == "striped":
+                chunks = [list(range(k, len(specs), workers)) for k in range(workers)]
+            else:
+                bounds = [k * len(specs) // workers for k in range(workers + 1)]
+                chunks = [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+            rows = [None] * len(specs)
+            for chunk in chunks:
+                report = run_campaign([specs[i] for i in chunk], engine=engine, quick=True)
+                assert report.ok
+                for i, row in zip(chunk, _verdict_rows(report)):
+                    rows[i] = row
             if baseline is None:
                 baseline = rows
             assert rows == baseline, (
-                f"verdicts drifted at workers={workers}, partition={partition}"
+                f"verdicts drifted at engine={engine}, workers={workers}, partition={partition}"
             )
-            assert report.ok
 
 
 # ---------------------------------------------------------------------- #

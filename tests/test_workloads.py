@@ -294,20 +294,26 @@ def _report_digests(report):
     ]
 
 
+_ENGINES = ("direct", "cached", "synchronous")
+
+
 class TestDeterminismAcrossWorkers:
     def test_same_seed_same_digests_across_workers_1_2_4(self):
-        reports = {
-            workers: run_campaign(
-                default_matrix(seed=5).scenarios(**_SLICE),
-                engine="parallel",
-                workers=workers,
-                quick=True,
-            )
-            for workers in (1, 2, 4)
-        }
-        digests = {w: _report_digests(rep) for w, rep in reports.items()}
-        assert digests[1] == digests[2] == digests[4]
-        assert all(rep.ok for rep in reports.values())
+        # A worker is one campaign run over one contiguous chunk of the
+        # slice; chunk k runs on backend k (mod 3), and a single worker runs
+        # the whole slice on each backend in turn.
+        specs = list(default_matrix(seed=5).scenarios(**_SLICE))
+        digests = []
+        for workers, offsets in ((1, (0, 1, 2)), (2, (0,)), (4, (0,))):
+            bounds = [k * len(specs) // workers for k in range(workers + 1)]
+            for offset in offsets:
+                rows = []
+                for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+                    report = run_campaign(specs[a:b], engine=_ENGINES[(k + offset) % 3], quick=True)
+                    assert report.ok
+                    rows.extend(_report_digests(report))
+                digests.append(rows)
+        assert all(rows == digests[0] for rows in digests)
 
     def test_warm_matrix_sweep_replays_from_the_store(self, tmp_path):
         specs = default_matrix(seed=5).scenarios(**_SLICE)
