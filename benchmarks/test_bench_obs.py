@@ -61,35 +61,55 @@ def _jobs():
     return [(grid_graph(8, 8, label="b"), None) for _ in range(_JOBS)]
 
 
-def _timed_sweep(engine_factory, repeats=_REPEATS):
-    """Best-of-``repeats`` run_many sweep on a *fresh* engine per repeat.
+#: The timed variants: (record name, engine class, tracing enabled).
+_VARIANTS = (
+    ("unspanned", UnspannedCachedEngine, False),
+    ("tracing_disabled", CachedEngine, False),
+    ("tracing_enabled", CachedEngine, True),
+)
 
-    A fresh CachedEngine each time keeps every repeat computing (cold ball
-    cache and memo), so the measured seconds are dominated by the work the
-    spans wrap rather than by cache lookups — the regime where span
+
+def _interleaved_sweeps(trace_path, repeats=_REPEATS):
+    """Time one run_many sweep per variant per repeat; return outputs and times.
+
+    The three variants run back to back inside each repeat, and the
+    variant that runs first rotates between repeats, so a change in host
+    speed during the bench slows all three alike instead of one block.
+    Each sweep uses a *fresh* engine: a cold ball cache and memo keep every
+    repeat computing, so the measured seconds are dominated by the work
+    the spans wrap rather than by cache lookups — the regime where span
     overhead would show if it were there.
     """
     decider, jobs = _decider(), _jobs()
-    outputs, times = None, []
-    for _ in range(repeats):
-        engine = engine_factory()
-        start = time.perf_counter()
-        outputs = engine.run_many(decider, jobs)
-        times.append(time.perf_counter() - start)
-    return outputs, min(times), times
+    outputs = {}
+    times = {name: [] for name, _, _ in _VARIANTS}
+    try:
+        for repeat in range(repeats):
+            shift = repeat % len(_VARIANTS)
+            for name, engine_cls, traced in _VARIANTS[shift:] + _VARIANTS[:shift]:
+                engine = engine_cls()
+                if traced:
+                    trace.enable(trace_path)
+                start = time.perf_counter()
+                outputs[name] = engine.run_many(decider, jobs)
+                times[name].append(time.perf_counter() - start)
+                trace.disable()
+    finally:
+        trace.disable()
+    return outputs, times
 
 
 def test_bench_tracing_overhead(tmp_path, write_bench_record):
     trace.disable()
-    baseline_out, t_unspanned, times_unspanned = _timed_sweep(UnspannedCachedEngine)
-    disabled_out, t_disabled, times_disabled = _timed_sweep(CachedEngine)
-
     trace_path = tmp_path / "bench-trace.jsonl"
-    trace.enable(trace_path)
-    try:
-        enabled_out, t_enabled, times_enabled = _timed_sweep(CachedEngine)
-    finally:
-        trace.disable()
+    outputs, times = _interleaved_sweeps(trace_path)
+    baseline_out = outputs["unspanned"]
+    disabled_out = outputs["tracing_disabled"]
+    enabled_out = outputs["tracing_enabled"]
+    # Best of the repeats per variant: the noise-robust estimator.
+    t_unspanned = min(times["unspanned"])
+    t_disabled = min(times["tracing_disabled"])
+    t_enabled = min(times["tracing_enabled"])
 
     # Tracing (on or off) never changes a single verdict.
     assert disabled_out == baseline_out
@@ -104,7 +124,7 @@ def test_bench_tracing_overhead(tmp_path, write_bench_record):
     ratio_disabled = t_unspanned / t_disabled if t_disabled > 0 else float("inf")
     ratio_enabled = t_unspanned / t_enabled if t_enabled > 0 else float("inf")
     payload = {
-        "workload": f"run_many sweep: {_JOBS} grid graphs, fresh CachedEngine per repeat",
+        "workload": f"run_many sweep: {_JOBS} grid graphs, fresh CachedEngine per repeat, variants interleaved",
         "jobs": _JOBS,
         "repeats": _REPEATS,
         "spans_recorded": stats["spans"],
@@ -113,11 +133,7 @@ def test_bench_tracing_overhead(tmp_path, write_bench_record):
             "tracing_disabled": round(t_disabled, 6),
             "tracing_enabled": round(t_enabled, 6),
         },
-        "seconds_per_repeat": {
-            "unspanned": [round(t, 6) for t in times_unspanned],
-            "tracing_disabled": [round(t, 6) for t in times_disabled],
-            "tracing_enabled": [round(t, 6) for t in times_enabled],
-        },
+        "seconds_per_repeat": {name: [round(t, 6) for t in ts] for name, ts in times.items()},
         "throughput_ratio_disabled": round(ratio_disabled, 3),
         "throughput_ratio_enabled": round(ratio_enabled, 3),
         "verdicts_identical_across_variants": True,

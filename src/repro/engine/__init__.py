@@ -6,14 +6,13 @@
   the default backend and the paper's mathematical semantics;
 * :class:`~repro.engine.synchronous.SynchronousEngine` — views produced by
   the full-information message-passing protocol;
-* :class:`~repro.engine.cached.CachedEngine` — the fast path: batched BFS
-  ball extraction per graph, canonical-key interning, and memoised
+* :class:`~repro.engine.cached.CachedEngine` — the fast path: one shared
+  ball collection per graph, canonical-key interning, and memoised
   evaluation per ``(algorithm, view key)``;
-* :mod:`~repro.engine.interned` — the vectorised core under both of the
-  above: graphs interned into CSR integer arrays, ball extraction as
-  frontier expansion over boolean masks, canonical keys as bytes of
-  canonicalised array slices (with a dict-based fallback for graphs that
-  fail interning);
+* :mod:`~repro.engine.interned` — the core under both of the above:
+  graphs interned into integer adjacency lists, every ball by one
+  breadth-first search per centre, canonical keys as bytes of
+  canonicalised arrays;
 * :class:`~repro.engine.persistent.PersistentEngine` — cross-run
   persistence: wraps any backend (``engine.with_store(path)``) with an
   on-disk :class:`~repro.engine.persistent.VerdictStore` so settled jobs
@@ -40,7 +39,6 @@ from .interned import (
     intern_graph,
     interned_id_free_views,
     interned_view_key,
-    interned_views_available,
 )
 from .persistent import (
     PersistentEngine,
@@ -73,6 +71,5 @@ __all__ = [
     "intern_graph",
     "interned_id_free_views",
     "interned_view_key",
-    "interned_views_available",
     "LRUStore",
 ]

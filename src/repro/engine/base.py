@@ -8,7 +8,7 @@ decider verifiers and the coverage analysis, each re-extracting every view
 from scratch.  The engine layer factors it into one seam:
 
 * :meth:`ExecutionEngine.views` — produce the views (backends differ here:
-  direct per-node BFS, synchronous message passing, batched+cached BFS);
+  direct per-node BFS, synchronous message passing, shared+memoised balls);
 * :meth:`ExecutionEngine.evaluate_view` — apply an algorithm to one view
   (the caching backend memoises this per canonical view key);
 * :meth:`ExecutionEngine.run` / :meth:`ExecutionEngine.run_randomised` —

@@ -1,18 +1,17 @@
-"""Caching backend: batched ball extraction + memoised evaluation.
+"""Caching backend: shared ball extraction + memoised evaluation.
 
-This is the fast path the ROADMAP's batching/caching direction asks for.
-Three observations make it sound:
+Four observations make it sound:
 
 * the balls of a graph do not depend on the identifier assignment, so one
-  batched BFS per ``(graph, radius)`` serves every assignment the verifier
-  sweeps over (``verify_decider`` alone re-extracts them per assignment in
-  the direct backend);
+  ball collection per ``(graph, radius)``, extracted by the interned core
+  (:mod:`repro.engine.interned`), serves every assignment the verifier
+  sweeps over;
 * a local algorithm is, by definition, a function of the isomorphism type
-  of its view — :meth:`~repro.graphs.neighbourhood.Neighbourhood.structure_key`
-  for the full LOCAL model, :meth:`~repro.graphs.neighbourhood.Neighbourhood.oblivious_key`
-  for Id-oblivious algorithms — so its output can be memoised per
-  ``(algorithm, view key)``: isomorphic balls (every node of a cycle, every
-  interior node of a long path) are evaluated exactly once;
+  of its view, so its output can be memoised per ``(algorithm, view key)``
+  with the exact canonical key
+  :func:`~repro.engine.interned.interned_view_key`: isomorphic balls
+  (every node of a cycle, every interior node of a long path) are
+  evaluated exactly once;
 * canonical view keys recur massively across a verification sweep, so they
   are interned in a bounded LRU store and shared;
 * a whole deterministic run is itself a pure function of
@@ -22,9 +21,12 @@ Three observations make it sound:
   later identifier assignment of an oblivious decider on the same graph is
   answered with a single cache lookup.
 
-All four stores are bounded LRUs; memory stays flat over arbitrarily long
-sweeps.  Randomised algorithms get the batched extraction but are never
-memoised (their output is not a function of the view alone).
+A view with no key (no interned payload, or a canonical search over its
+budget) is evaluated without memoisation, which is always
+verdict-identical.  All four stores are bounded LRUs; memory stays flat
+over arbitrarily long sweeps.  Randomised algorithms get the shared
+extraction but are never memoised (their output is not a function of the
+view alone).
 
 The memoisation contract is exactly the model's definition of a local
 algorithm.  An object that violates the definition — e.g. one whose output
@@ -35,7 +37,7 @@ local algorithm in the paper's sense; run such code through the
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Optional, Tuple
 
 from ..errors import GraphError
 from ..graphs.identifiers import IdAssignment
@@ -51,54 +53,8 @@ if TYPE_CHECKING:  # type-only; keeps engine ↔ local_model import-cycle-free
 __all__ = ["CachedEngine"]
 
 
-def _batched_balls(graph: LabelledGraph, radius: int) -> Dict[Node, Neighbourhood]:
-    """Extract every radius-``radius`` ball of ``graph`` in one synchronised pass.
-
-    All BFS frontiers advance one hop per round together, and induced ball
-    subgraphs are shared between centres whose balls contain the same node
-    set (every node of a clique, or any graph once ``radius`` reaches the
-    diameter), so the subgraph construction cost is paid once per distinct
-    ball rather than once per node.
-    """
-    centers = list(graph.nodes())
-    dist: Dict[Node, Dict[Node, int]] = {c: {c: 0} for c in centers}
-    frontier: Dict[Node, List[Node]] = {c: [c] for c in centers}
-    for d in range(1, radius + 1):
-        for c in centers:
-            grown: List[Node] = []
-            seen = dist[c]
-            for u in frontier[c]:
-                for w in graph.neighbours(u):
-                    if w not in seen:
-                        seen[w] = d
-                        grown.append(w)
-            frontier[c] = grown
-    subgraphs: Dict[frozenset, LabelledGraph] = {}
-    views: Dict[Node, Neighbourhood] = {}
-    for c in centers:
-        members = dist[c]
-        member_key = frozenset(members)
-        ball = subgraphs.get(member_key)
-        if ball is None:
-            # Build the induced ball directly from the BFS membership map:
-            # the insertion-order index dedupes each edge without the
-            # per-edge repr comparisons of the generic induced_subgraph.
-            order = {v: i for i, v in enumerate(members)}
-            edges = [
-                (u, w)
-                for u in members
-                for w in graph.neighbours(u)
-                if w in order and order[u] < order[w]
-            ]
-            labels = {v: graph.label(v) for v in members}
-            ball = LabelledGraph(list(members), edges, labels)
-            subgraphs[member_key] = ball
-        views[c] = Neighbourhood(ball, c, radius, dist[c], ids=None)
-    return views
-
-
 class CachedEngine(ExecutionEngine):
-    """Batched BFS ball extraction, canonical-key interning and memoised evaluation.
+    """Shared ball extraction, canonical-key interning and memoised evaluation.
 
     Parameters
     ----------
@@ -153,13 +109,7 @@ class CachedEngine(ExecutionEngine):
         if cached is not None:
             self.stats.ball_hits += len(cached)
             return cached
-        # Vectorised fast path: graphs that intern get their whole ball
-        # collection from a few array ops per radius (and array-backed
-        # canonical keys downstream); anything else takes the dict-based
-        # batched BFS, with identical outputs.
         views = interned_id_free_views(graph, radius)
-        if views is None:
-            views = _batched_balls(graph, radius)
         self.stats.ball_extractions += len(views)
         self._balls.put(cache_key, views)
         return views
@@ -218,35 +168,15 @@ class CachedEngine(ExecutionEngine):
     # ------------------------------------------------------------------ #
 
     def _view_key(self, algorithm: "LocalAlgorithm", view: Neighbourhood) -> Optional[Tuple]:
-        if view.interned is not None:
-            # Array-backed canonical key: the lexicographically smallest
-            # ``tobytes()`` encoding of the canonicalised ball arrays.  The
-            # bytes partition views exactly like the tuple keys below (same
-            # colour invariants, same refinement and class-size budgets);
-            # ``None`` means the search budget was exceeded, in which case
-            # we fall through to the tuple path (whose own fallback refuses
-            # memoisation).  Bytes and tuples can never compare equal, so
-            # the two key families coexist soundly in one memo store.
-            if not algorithm.uses_identifiers:
-                kind = "oblivious"
-                key_bytes = interned_view_key(view, use_ids=False)
-            else:
-                kind = "id" if view.ids is not None else "bare"
-                key_bytes = interned_view_key(view, use_ids=view.ids is not None)
-            if key_bytes is not None:
-                return (kind, view.radius, self._keys.intern(key_bytes))
         if not algorithm.uses_identifiers:
-            canonical = view.oblivious_key()
-            kind = "oblivious"
+            kind, use_ids = "oblivious", False
         else:
-            canonical = view.structure_key()
-            kind = "id" if view.ids is not None else "bare"
-        if canonical and canonical[0] == "wl-fallback":
-            # The fallback key (huge colour classes) is only a pre-filter:
-            # non-isomorphic views can share it, so it is NOT sound as a
-            # memoisation key.  Refuse to memoise such views.
+            use_ids = view.ids is not None
+            kind = "id" if use_ids else "bare"
+        key_bytes = interned_view_key(view, use_ids=use_ids)
+        if key_bytes is None:
             return None
-        return (kind, view.radius, self._keys.intern(canonical))
+        return (kind, view.radius, self._keys.intern(key_bytes))
 
     def evaluate_view(self, algorithm: "LocalAlgorithm", view: Neighbourhood) -> Hashable:
         """Evaluate one view, memoised per ``(algorithm, canonical view key)``."""

@@ -1,40 +1,33 @@
-"""Vectorised interned-graph core: CSR adjacency + array-mask ball extraction.
+"""Interned-graph core: integer adjacency lists, breadth-first balls, array keys.
 
 Every hot path in the package — the ``verify_decider`` grid fan-out, the
 adversarial hunts, the workload-matrix sweeps — bottoms out in extracting
-radius-``t`` balls and (for the caching backend) canonicalising them.  The
-historical implementation walks Python dicts and sets per node per
-assignment; this module *interns* a :class:`~repro.graphs.labelled_graph.
-LabelledGraph` into compact integer arrays once and then serves every ball
-of every node of every assignment from a few numpy array operations per
-radius:
+radius-``t`` balls and (for the caching backend) canonicalising them.  This
+module *interns* a :class:`~repro.graphs.labelled_graph.LabelledGraph` into
+compact integer form once and then serves every ball of every node of
+every assignment from it:
 
 * **Interning** (:func:`intern_graph`): nodes become dense indices
-  ``0..n-1``, adjacency becomes a CSR pair (``indptr``/``indices``), labels
-  become codes from a process-wide label table (labels with equal ``repr``
-  always map to equal codes, matching the dict-based canonical forms, so
-  canonical keys stay comparable across graphs).
-* **Ball extraction** (:meth:`InternedGraph.ball_table`): one boolean
-  reachability matrix for *all* centres at once, grown one hop per round by
-  a masked matrix product — frontier expansion over numpy boolean masks
-  instead of ``n`` independent dict-based BFS walks.  Centres whose balls
-  contain the same node set share one induced subgraph, exactly like the
-  dict-based batcher they replace.
+  ``0..n-1``, adjacency becomes sorted neighbour-index lists, labels become
+  codes from a process-wide label table (labels with equal ``repr`` always
+  map to equal codes, matching the dict-based canonical forms, so
+  canonical keys stay comparable across graphs).  Every graph interns; an
+  empty graph interns to an empty core.
+* **Ball extraction** (:meth:`InternedGraph.ball_table`): one breadth-first
+  search per centre over the integer adjacency, cached per radius.  Memory
+  is linear in the total ball size, so graphs of any size take this path.
+  Centres whose balls contain the same node set share one induced
+  subgraph, and a ball covering the whole graph reuses the source graph.
 * **Canonical keys** (:func:`interned_view_key`): the caching engine's
-  memoisation keys become the lexicographically smallest byte encoding of
+  memoisation keys are the lexicographically smallest byte encoding of
   the ball's canonicalised arrays (``ndarray.tobytes()``), interned behind
-  the existing LRU seam in :mod:`repro.engine.cached` — replacing the
-  nested-tuple/``repr`` canonical forms on the fast path.
+  the LRU seam in :mod:`repro.engine.cached`.
 
-The dict-based path stays as the fallback: graphs that fail interning
-(empty graphs, graphs above :data:`MAX_INTERN_NODES`, exotic failures, or
-a missing numpy) take the historical code path and produce identical
-outputs, which the equivalence suite (``tests/test_interned_engine.py``)
-asserts across all 12 workload graph families and every backend.
-
-numpy is an optional accelerator dependency: when it cannot be imported
-every entry point degrades to the fallback (:func:`intern_graph` returns
-``None``) and the package behaves exactly as before.
+The per-node :func:`~repro.graphs.neighbourhood.extract_neighbourhood` and
+the tuple canonical forms of :class:`~repro.graphs.neighbourhood.Neighbourhood`
+are the reference this core is tested against
+(``tests/test_interned_engine.py``): same views, same key partitions, same
+verdicts across all 12 workload graph families and every backend.
 """
 
 from __future__ import annotations
@@ -43,10 +36,7 @@ import struct
 from itertools import permutations, product
 from typing import Dict, List, Optional, Tuple
 
-try:  # numpy is an optional accelerator; everything degrades without it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-free installs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..errors import GraphError
 from ..graphs.labelled_graph import LabelledGraph, Node
@@ -61,26 +51,18 @@ from ..obs.metrics import (
 from .store import LRUStore
 
 __all__ = [
-    "MAX_INTERN_NODES",
     "InternedGraph",
     "InternedBall",
     "InternedView",
     "intern_graph",
     "interned_id_free_views",
-    "interned_views_available",
     "interned_view_key",
 ]
-
-#: Graphs larger than this fall back to the dict-based path: the dense
-#: reachability matrix costs O(n^2) memory and the frontier product O(n^3)
-#: per radius, both fine for the instance sizes verification sweeps use and
-#: increasingly not fine beyond a few thousand nodes.
-MAX_INTERN_NODES = 2048
 
 #: Budgets of the canonical-key search, mirroring the thresholds of the
 #: dict-based search in :mod:`repro.graphs.neighbourhood`: refine colours
 #: by 1-WL when the raw search exceeds ``_REFINEMENT_THRESHOLD`` orderings,
-#: and give up (return ``None``; the caller falls back to the dict path)
+#: and give up (return ``None``; the caller evaluates without memoising)
 #: when a colour class exceeds ``_MAX_CLASS`` nodes or the total search
 #: exceeds ``_MAX_SEARCH`` orderings.
 _REFINEMENT_THRESHOLD = 48
@@ -95,9 +77,9 @@ _MAX_SEARCH = 40320  # 8!
 # (algorithm, view key), and one sweep mixes many graphs), so label codes
 # are assigned from one process-wide table.  The table is keyed by
 # ``repr(label)`` — the exact equivalence the dict-based canonical forms in
-# :mod:`repro.graphs.neighbourhood` use — so the two key families partition
-# views identically.  The table only ever grows with *distinct* labels, of
-# which real workloads have a handful.
+# :mod:`repro.graphs.neighbourhood` use — so the bytes keys partition views
+# exactly like the tuple reference keys.  The table only ever grows with
+# *distinct* labels, of which real workloads have a handful.
 
 _LABEL_CODES: Dict[str, int] = {}
 
@@ -118,26 +100,22 @@ def _label_code(label: object) -> int:
 
 
 class InternedGraph:
-    """A :class:`LabelledGraph` flattened into compact integer arrays.
+    """A :class:`LabelledGraph` flattened into compact integer form.
 
-    ``nodes`` maps dense index → node name; ``indptr``/``indices`` are the
-    CSR adjacency (neighbour indices sorted ascending); ``label_codes``
-    holds one process-wide label code per node.  ``adj_lists`` and
-    ``labels_list`` are Python-native mirrors used on per-ball hot loops
-    where element-wise numpy access would dominate.  Ball tables are
-    computed lazily per radius and cached on the instance.
+    ``nodes`` maps dense index → node name; ``adj_lists[i]`` holds the
+    neighbour indices of node ``i`` sorted ascending; ``label_codes`` is an
+    int64 array of one process-wide label code per node and
+    ``labels_list`` the labels themselves.  Ball tables are computed
+    lazily per radius and cached on the instance.
     """
 
     __slots__ = (
         "source",
         "nodes",
-        "indptr",
-        "indices",
         "label_codes",
         "adj_lists",
         "labels_list",
         "n",
-        "_adjacency",
         "_ball_tables",
     )
 
@@ -145,61 +123,50 @@ class InternedGraph:
         self,
         source: LabelledGraph,
         nodes: Tuple[Node, ...],
-        indptr: "np.ndarray",
-        indices: "np.ndarray",
         label_codes: "np.ndarray",
         adj_lists: List[List[int]],
         labels_list: List[object],
     ) -> None:
         self.source = source
         self.nodes = nodes
-        self.indptr = indptr
-        self.indices = indices
         self.label_codes = label_codes
         self.adj_lists = adj_lists
         self.labels_list = labels_list
         self.n = len(nodes)
-        self._adjacency: Optional["np.ndarray"] = None
-        self._ball_tables: Dict[int, Tuple["np.ndarray", "np.ndarray"]] = {}
+        self._ball_tables: Dict[int, List[Tuple[List[int], List[int]]]] = {}
 
-    def adjacency(self) -> "np.ndarray":
-        """Return the dense float32 adjacency matrix (built lazily, cached)."""
-        if self._adjacency is None:
-            a = np.zeros((self.n, self.n), dtype=np.float32)
-            row = np.repeat(np.arange(self.n), np.diff(self.indptr))
-            a[row, self.indices] = 1.0
-            self._adjacency = a
-        return self._adjacency
+    def ball_table(self, radius: int) -> List[Tuple[List[int], List[int]]]:
+        """Return ``(members, dist_local)`` for every centre, indexed by centre.
 
-    def ball_table(self, radius: int) -> Tuple["np.ndarray", "np.ndarray"]:
-        """Return ``(reach, dist)`` for every centre at once.
-
-        ``reach[c, v]`` is ``True`` when ``v`` lies within ``radius`` hops
-        of ``c``; ``dist[c, v]`` is the hop distance (only meaningful where
-        ``reach``).  Each radius step is one masked matrix product: the
-        whole frontier of every centre advances together.
+        ``members`` are the ascending indices of the nodes within
+        ``radius`` hops of the centre; ``dist_local[l]`` is the hop
+        distance of ``members[l]``.  One breadth-first search per centre
+        over :attr:`adj_lists`, stopping early once the ball stops growing.
         """
         cached = self._ball_tables.get(radius)
         if cached is not None:
             return cached
-        n = self.n
-        with trace.span("interned.ball_table", nodes=n, radius=radius):
-            reach = np.eye(n, dtype=bool)
-            dist = np.zeros((n, n), dtype=np.int32)
-            frontier = reach.copy()
-            if radius > 0 and self.indices.size:
-                adjacency = self.adjacency()
+        adj_lists = self.adj_lists
+        table: List[Tuple[List[int], List[int]]] = []
+        with trace.span("interned.ball_table", nodes=self.n, radius=radius):
+            for centre in range(self.n):
+                dist = {centre: 0}
+                frontier = [centre]
                 for d in range(1, radius + 1):
-                    grown = (frontier.astype(np.float32) @ adjacency) > 0.5
-                    grown &= ~reach
-                    if not grown.any():
+                    grown = []
+                    for u in frontier:
+                        for w in adj_lists[u]:
+                            if w not in dist:
+                                dist[w] = d
+                                grown.append(w)
+                    if not grown:
                         break
-                    dist[grown] = d
-                    reach |= grown
                     frontier = grown
+                members = sorted(dist)
+                table.append((members, [dist[g] for g in members]))
         global_metrics().inc(BALL_TABLES_GROWN)
-        self._ball_tables[radius] = (reach, dist)
-        return reach, dist
+        self._ball_tables[radius] = table
+        return table
 
 
 class InternedBall:
@@ -279,60 +246,28 @@ class InternedView:
 
 #: Interned graphs are structural (topology + labels, no outputs), so one
 #: bounded process-wide table serves every engine; keyed by the graph
-#: object (LabelledGraph hashes by content and caches its hash), with
-#: failures negatively cached.
+#: object (LabelledGraph hashes by content and caches its hash).
 _INTERN_CACHE = LRUStore(maxsize=256)
-_FAILED = object()  # negative-cache marker: this graph does not intern
 
 
-def intern_graph(graph: LabelledGraph) -> Optional[InternedGraph]:
-    """Intern ``graph`` into arrays, or return ``None`` when it cannot be.
-
-    Fallback rules: interning requires numpy, a non-empty graph, and at
-    most :data:`MAX_INTERN_NODES` nodes; any unexpected failure (e.g. a
-    label whose ``repr`` raises) also falls back.  Results — including
-    failures — are cached in a bounded process-wide LRU keyed by the graph.
-    """
-    if np is None:
-        return None
-    cached = _INTERN_CACHE.get(graph, _FAILED)
-    if cached is not _FAILED:
+def intern_graph(graph: LabelledGraph) -> InternedGraph:
+    """Intern ``graph`` into integer form, cached in a bounded process-wide LRU."""
+    cached = _INTERN_CACHE.get(graph)
+    if cached is not None:
         global_metrics().inc(INTERN_CACHE_HITS)
         return cached
     global_metrics().inc(INTERN_CACHE_MISSES)
     with trace.span("interned.intern", nodes=graph.num_nodes()):
-        interned = _build_interned(graph)
-    _INTERN_CACHE.put(graph, interned)
-    return interned
-
-
-def _build_interned(graph: LabelledGraph) -> Optional[InternedGraph]:
-    """Flatten one graph into CSR arrays; ``None`` when it falls outside the rules."""
-    n = graph.num_nodes()
-    if n == 0 or n > MAX_INTERN_NODES:
-        return None
-    try:
         nodes = graph.nodes()
         index = {v: i for i, v in enumerate(nodes)}
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        flat: List[int] = []
-        adj_lists: List[List[int]] = []
-        for i, v in enumerate(nodes):
-            nbrs = sorted(index[w] for w in graph.neighbours(v))
-            adj_lists.append(nbrs)
-            flat.extend(nbrs)
-            indptr[i + 1] = len(flat)
-        indices = np.asarray(flat, dtype=np.int64)
+        adj_lists = [sorted(index[w] for w in graph.neighbours(v)) for v in nodes]
         labels_list = [graph.label(v) for v in nodes]
-        label_codes = np.fromiter((_label_code(lab) for lab in labels_list), dtype=np.int64, count=n)
-    except Exception:  # fall back rather than fail the sweep
-        return None
-    return InternedGraph(graph, nodes, indptr, indices, label_codes, adj_lists, labels_list)
-
-
-def interned_views_available(graph: LabelledGraph) -> bool:
-    """Return ``True`` when ``graph`` takes the interned fast path."""
-    return intern_graph(graph) is not None
+        label_codes = np.fromiter(
+            (_label_code(lab) for lab in labels_list), dtype=np.int64, count=len(nodes)
+        )
+        interned = InternedGraph(graph, nodes, label_codes, adj_lists, labels_list)
+    _INTERN_CACHE.put(graph, interned)
+    return interned
 
 
 # ---------------------------------------------------------------------- #
@@ -361,31 +296,24 @@ def _build_ball(interned: InternedGraph, members: List[int]) -> InternedBall:
     return InternedBall(interned, members, local_of, ball_graph, ball_nodes)
 
 
-def interned_id_free_views(graph: LabelledGraph, radius: int) -> Optional[Dict[Node, Neighbourhood]]:
+def interned_id_free_views(graph: LabelledGraph, radius: int) -> Dict[Node, Neighbourhood]:
     """Extract every node's id-free radius-``radius`` view through the interned core.
 
-    Returns ``None`` when the graph falls outside the interning rules (the
-    caller then takes the dict-based path).  Centres whose balls coincide
-    share one induced :class:`LabelledGraph`; every returned view carries
-    an :class:`InternedView` payload for array-based canonical keys.
+    Centres whose balls coincide share one induced :class:`LabelledGraph`;
+    every returned view carries an :class:`InternedView` payload for
+    array-based canonical keys.  An empty graph has no views.
     """
-    interned = intern_graph(graph)
-    if interned is None:
-        return None
     if radius < 0:
         raise GraphError(f"radius must be non-negative, got {radius}")
-    reach, dist = interned.ball_table(radius)
+    interned = intern_graph(graph)
     views: Dict[Node, Neighbourhood] = {}
-    balls: Dict[bytes, InternedBall] = {}
+    balls: Dict[Tuple[int, ...], InternedBall] = {}
     nodes = interned.nodes
-    for ci in range(interned.n):
-        row = reach[ci]
-        key = row.tobytes()
+    for ci, (members, dist_local) in enumerate(interned.ball_table(radius)):
+        key = tuple(members)
         ball = balls.get(key)
         if ball is None:
-            ball = _build_ball(interned, np.flatnonzero(row).tolist())
-            balls[key] = ball
-        dist_local = dist[ci][ball.members].tolist()
+            ball = balls[key] = _build_ball(interned, members)
         distances = dict(zip(ball.ball_nodes, dist_local))
         payload = InternedView(ball, ball.local_of[ci], dist_local)
         views[nodes[ci]] = Neighbourhood._from_trusted(
@@ -408,11 +336,11 @@ def interned_view_key(view: Neighbourhood, use_ids: bool) -> Optional[bytes]:
     :meth:`Neighbourhood.oblivious_key` / :meth:`Neighbourhood.structure_key`.
     Equal keys hold exactly for centred-isomorphic views (labels, distances
     and — with ``use_ids`` — identifiers preserved).  ``None`` means the
-    canonical search would exceed its budget; callers fall back to the
-    dict-based canonical form.
+    view carries no interned payload or the canonical search would exceed
+    its budget; callers then evaluate the view without memoising it.
     """
     payload: Optional[InternedView] = view.interned
-    if payload is None or np is None:
+    if payload is None:
         return None
     ball = payload.ball
     label_codes, degrees, edges = ball.arrays()

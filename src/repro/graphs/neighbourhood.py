@@ -58,11 +58,12 @@ class Neighbourhood:
 
     Notes
     -----
-    Views produced by the vectorised core (:mod:`repro.engine.interned`)
+    Views produced by the interned core (:mod:`repro.engine.interned`)
     additionally carry an ``interned`` payload — array-backed ball data the
-    caching engine uses to compute canonical keys without the tuple-based
-    search below.  Views built through the ordinary constructor have
-    ``interned = None`` and behave identically.
+    caching engine computes its canonical keys from; the tuple-based keys
+    below are the reference they are tested against.  Views built through
+    the ordinary constructor have ``interned = None`` and behave
+    identically, except that the caching engine never memoises them.
     """
 
     __slots__ = ("graph", "center", "radius", "distances", "ids", "interned", "_struct_key", "_obliv_key")

@@ -1,29 +1,34 @@
-"""Equivalence of the vectorised interned-graph core and the dict-based path.
+"""Equivalence of the interned-graph core and the per-node reference path.
 
-The interned core (:mod:`repro.engine.interned`) re-implements ball
-extraction and canonical view keys over numpy arrays; the dict-based code
-it accelerates stays in place as the fallback.  These tests pin the
-contract that makes that sound: **both paths are observably identical** —
+The interned core (:mod:`repro.engine.interned`) extracts every ball of a
+graph by breadth-first search over integer adjacency lists and computes
+canonical view keys over numpy arrays.  Per-node
+:func:`~repro.graphs.neighbourhood.extract_neighbourhood` and the tuple
+canonical keys of :class:`~repro.graphs.neighbourhood.Neighbourhood` are
+the reference.  These tests pin that **both are observably identical** —
 same views, same canonical-key partitions, same verdicts and
 counterexamples from ``verify_decider``, and byte-identical cross-run
 store digests — across random graphs (hypothesis), all 12 bundled
-workload graph families, and every backend.
+workload graph families, graphs of any size, and every backend.
 """
 
 import json
+import random
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.decision import FunctionProperty, InstanceFamily, verify_decider
-from repro.engine import CachedEngine, DirectEngine, SynchronousEngine
-from repro.engine.interned import (
-    intern_graph,
-    interned_id_free_views,
-    interned_view_key,
-    interned_views_available,
+from repro.engine import CachedEngine, DirectEngine, ExecutionEngine, SynchronousEngine
+from repro.engine.interned import intern_graph, interned_id_free_views, interned_view_key
+from repro.graphs import (
+    LabelledGraph,
+    complete_graph,
+    cycle_graph,
+    grid_graph,
+    random_graph,
+    sequential_assignment,
 )
-from repro.graphs import LabelledGraph, cycle_graph, random_graph, sequential_assignment
 from repro.graphs.neighbourhood import extract_neighbourhood
 from repro.local_model import NO, YES, FunctionAlgorithm, FunctionIdObliviousAlgorithm
 from repro.workloads.families import bundled_families
@@ -38,6 +43,16 @@ def small_graphs(draw):
     return random_graph(n, p, seed=seed, label=label)
 
 
+class ReferenceDirectEngine(DirectEngine):
+    """DirectEngine whose batched jobs run one :meth:`run` each.
+
+    Every job then extracts each ball by per-node ``extract_neighbourhood``:
+    the literal reference the interned batch path must match.
+    """
+
+    _run_many_core = ExecutionEngine._run_many_core
+
+
 # ---------------------------------------------------------------------- #
 # Ball extraction equivalence (property-based)
 # ---------------------------------------------------------------------- #
@@ -47,7 +62,6 @@ def small_graphs(draw):
 @settings(max_examples=40, deadline=None)
 def test_interned_views_match_dict_extraction(g, radius):
     views = interned_id_free_views(g, radius)
-    assert views is not None  # every hypothesis graph interns (small, non-empty)
     assert set(views) == set(g.nodes())
     for v in g.nodes():
         ref = extract_neighbourhood(g, v, radius)
@@ -134,7 +148,7 @@ def _report_fingerprint(report):
 
 
 def _engines():
-    yield "dict-direct", DirectEngine(interned=False)
+    yield "reference-direct", ReferenceDirectEngine()
     yield "interned-direct", DirectEngine()
     yield "cached", CachedEngine()
     yield "synchronous", SynchronousEngine()
@@ -157,6 +171,82 @@ def test_family_verdicts_agree_across_engines_and_workers(family):
                 assert fingerprint == reference, f"{family.name}/{decider.name}: {name} diverged"
 
 
+def _renaming(graph, seed):
+    """A seeded bijection from ``graph``'s nodes onto a mix of int and tuple names."""
+    rng = random.Random(seed)
+    fresh = rng.sample(range(10 * graph.num_nodes() + 10), graph.num_nodes())
+    return {v: (k if rng.random() < 0.5 else ("r", k)) for v, k in zip(graph.nodes(), fresh)}
+
+
+def _renamed(graph, names):
+    # Same insertion order, so the sampled identifier assignments (drawn in
+    # node order) correspond one-to-one under the renaming.
+    return LabelledGraph(
+        [names[v] for v in graph.nodes()],
+        [(names[u], names[w]) for u, w in graph.edges()],
+        {names[v]: graph.label(v) for v in graph.nodes()},
+    )
+
+
+def _ball_id_trap():
+    # Wrong on purpose and sensitive to which identifier sits at which
+    # distance, so a view whose ball or ids were scrambled changes verdicts.
+    return FunctionAlgorithm(
+        lambda view: YES
+        if sum(view.id_of(v) * (view.distance(v) + 1) for v in view.nodes()) % 3
+        else NO,
+        radius=2,
+        name="ball-id-trap",
+    )
+
+
+def _counterexample_in(ce, back):
+    """``ce`` as comparable data, with every node name mapped through ``back``."""
+    return (
+        ce.kind,
+        ce.family,
+        ce.expected,
+        ce.accepted,
+        _renamed(ce.graph, back),
+        None if ce.ids is None else {back[v]: i for v, i in ce.ids.items()},
+        tuple(back[v] for v in ce.rejecting_nodes),
+    )
+
+
+# Interned indices and label codes must never leak node names into verdicts.
+@pytest.mark.parametrize("family", bundled_families(), ids=lambda f: f.name)
+def test_verdicts_invariant_under_node_renaming(family):
+    instances = _instance_family(family)
+    back = {}  # renamed graph -> {new name: original name}
+
+    def rename(graphs):
+        out = []
+        for g in graphs:
+            names = _renaming(g, seed=len(back))
+            h = _renamed(g, names)
+            back[h] = {new: old for old, new in names.items()}
+            out.append(h)
+        return out
+
+    renamed = InstanceFamily(
+        name=instances.name, yes_instances=rename(instances.yes), no_instances=rename(instances.no)
+    )
+    for decider in (_degree_decider(), _id_parity_trap(), _ball_id_trap()):
+        for engine_cls in (DirectEngine, CachedEngine, SynchronousEngine):
+            original, relabelled = (
+                verify_decider(decider, _DEGREE_PROP, family=fam, samples=2, seed=3, engine=engine_cls())
+                for fam in (instances, renamed)
+            )
+            where = f"{family.name}/{decider.name}/{engine_cls.name}"
+            assert relabelled.correct == original.correct, where
+            assert relabelled.instances_checked == original.instances_checked, where
+            assert relabelled.assignments_checked == original.assignments_checked, where
+            assert [_counterexample_in(ce, back[ce.graph]) for ce in relabelled.counter_examples] == [
+                _counterexample_in(ce, {v: v for v in ce.graph.nodes()})
+                for ce in original.counter_examples
+            ], where
+
+
 # ---------------------------------------------------------------------- #
 # Cross-run store digests
 # ---------------------------------------------------------------------- #
@@ -175,8 +265,8 @@ def test_store_digests_identical_across_paths(tmp_path):
     family = _instance_family(bundled_families()[0])
     paths = {"dict": tmp_path / "dict", "interned": tmp_path / "interned"}
     stores = {}
-    for name, interned in (("dict", False), ("interned", True)):
-        engine = DirectEngine(interned=interned).with_store(paths[name])
+    for name, engine_cls in (("dict", ReferenceDirectEngine), ("interned", DirectEngine)):
+        engine = engine_cls().with_store(paths[name])
         for decider in (_degree_decider(), _id_parity_trap()):
             verify_decider(decider, _DEGREE_PROP, family=family, samples=2, seed=3, engine=engine)
         stores[name] = _store_contents(paths[name])
@@ -185,43 +275,45 @@ def test_store_digests_identical_across_paths(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# Fallback rules
+# Every graph takes the interned path
 # ---------------------------------------------------------------------- #
 
 
-def test_empty_graph_does_not_intern():
-    assert not interned_views_available(LabelledGraph([]))
-    assert interned_id_free_views(LabelledGraph([]), 1) is None
+def test_empty_graph_has_no_views():
+    empty = LabelledGraph([])
+    assert interned_id_free_views(empty, 1) == {}
+    assert DirectEngine().run_many(_degree_decider(), [(empty, None)]) == [{}]
 
 
-def test_oversized_graph_falls_back(monkeypatch):
-    monkeypatch.setattr("repro.engine.interned.MAX_INTERN_NODES", 4)
-    g = cycle_graph(6, label="z6")
-    assert intern_graph(g) is None
-    # run_many still answers through the per-job fallback, identically.
+def test_large_grid_interns_and_matches_reference():
+    # 2116 nodes: above any dense-table size cap, still one ball path.
+    g = grid_graph(46, 46, label="g")
+    assert intern_graph(g).n == g.num_nodes() == 2116
+    centres = random.Random(5).sample(list(g.nodes()), 60)
+    for radius in (1, 2):
+        views = interned_id_free_views(g, radius)
+        for v in centres:
+            ref = extract_neighbourhood(g, v, radius)
+            got = views[v]
+            assert got.distances == ref.distances
+            assert got.graph == ref.graph
+    jobs = [(g, None), (g, sequential_assignment(g))]
     decider = _degree_decider()
-    engine = DirectEngine()
-    outputs = engine.run_many(decider, [(g, None), (g, None)])
-    reference = DirectEngine(interned=False).run_many(decider, [(g, None), (g, None)])
-    assert outputs == reference
+    assert DirectEngine().run_many(decider, jobs) == ReferenceDirectEngine().run_many(decider, jobs)
 
 
-def test_missing_numpy_falls_back(monkeypatch):
-    monkeypatch.setattr("repro.engine.interned.np", None)
-    g = cycle_graph(5, label="z5")
-    assert intern_graph(g) is None
-    view = extract_neighbourhood(g, 0, 1)
+def test_cached_engine_evaluates_unkeyed_views_without_memoising():
+    # K10 at radius 1: nine interchangeable leaves exceed the canonical
+    # search budget, so the view has no key and is evaluated every time.
+    view = interned_id_free_views(complete_graph(10, label="k"), 1)[0]
     assert interned_view_key(view, use_ids=False) is None
     engine = CachedEngine()
-    report = verify_decider(
-        _degree_decider(),
-        _DEGREE_PROP,
-        family=InstanceFamily(name="np-free", yes_instances=[g], no_instances=[]),
-        samples=1,
-        seed=0,
-        engine=engine,
-    )
-    assert report.correct
+    decider = _degree_decider()
+    assert engine.evaluate_view(decider, view) == NO
+    assert engine.evaluate_view(decider, view) == NO
+    assert engine.stats.evaluations == 2
+    assert engine.stats.evaluation_hits == 0
+    assert view._obliv_key is None
 
 
 def test_run_many_id_aware_matches_dict_path():
@@ -232,6 +324,6 @@ def test_run_many_id_aware_matches_dict_path():
         lambda view: YES if view.max_visible_identifier() % 3 == 0 else NO, radius=2, name="mod3"
     )
     jobs = [(g, ids_a), (g, ids_b)]
-    assert DirectEngine().run_many(algorithm, jobs) == DirectEngine(interned=False).run_many(
+    assert DirectEngine().run_many(algorithm, jobs) == ReferenceDirectEngine().run_many(
         algorithm, jobs
     )
