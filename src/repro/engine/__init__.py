@@ -11,8 +11,8 @@
   evaluation per ``(algorithm, view key)``;
 * :mod:`~repro.engine.interned` — the core under both of the above:
   graphs interned into integer adjacency lists, every ball by one
-  breadth-first search per centre, canonical keys as bytes of
-  canonicalised arrays;
+  breadth-first search per centre, canonical keys as tuples of plain
+  ints;
 * :class:`~repro.engine.persistent.PersistentEngine` — cross-run
   persistence: wraps any backend (``engine.with_store(path)``) with an
   on-disk :class:`~repro.engine.persistent.VerdictStore` so settled jobs

@@ -9,7 +9,8 @@ Four observations make it sound:
 * a local algorithm is, by definition, a function of the isomorphism type
   of its view, so its output can be memoised per ``(algorithm, view key)``
   with the exact canonical key
-  :func:`~repro.engine.interned.interned_view_key`: isomorphic balls
+  :func:`~repro.engine.interned.interned_view_key`, a tuple of plain
+  ints: isomorphic balls
   (every node of a cycle, every interior node of a long path) are
   evaluated exactly once;
 * canonical view keys recur massively across a verification sweep, so they
@@ -173,10 +174,10 @@ class CachedEngine(ExecutionEngine):
         else:
             use_ids = view.ids is not None
             kind = "id" if use_ids else "bare"
-        key_bytes = interned_view_key(view, use_ids=use_ids)
-        if key_bytes is None:
+        key = interned_view_key(view, use_ids=use_ids)
+        if key is None:
             return None
-        return (kind, view.radius, self._keys.intern(key_bytes))
+        return (kind, self._keys.intern(key))
 
     def evaluate_view(self, algorithm: "LocalAlgorithm", view: Neighbourhood) -> Hashable:
         """Evaluate one view, memoised per ``(algorithm, canonical view key)``."""

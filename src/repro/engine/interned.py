@@ -1,4 +1,4 @@
-"""Interned-graph core: integer adjacency lists, breadth-first balls, array keys.
+"""Interned-graph core: integer adjacency lists, breadth-first balls, integer keys.
 
 Every hot path in the package — the ``verify_decider`` grid fan-out, the
 adversarial hunts, the workload-matrix sweeps — bottoms out in extracting
@@ -19,9 +19,10 @@ every assignment from it:
   Centres whose balls contain the same node set share one induced
   subgraph, and a ball covering the whole graph reuses the source graph.
 * **Canonical keys** (:func:`interned_view_key`): the caching engine's
-  memoisation keys are the lexicographically smallest byte encoding of
-  the ball's canonicalised arrays (``ndarray.tobytes()``), interned behind
-  the LRU seam in :mod:`repro.engine.cached`.
+  memoisation keys are tuples of plain ints.  Colour classes in a fixed
+  order determine the ball's node data; the search permutes nodes inside
+  classes only to find the smallest sorted edge list.  Keys are interned
+  behind the LRU seam in :mod:`repro.engine.cached`.
 
 The per-node :func:`~repro.graphs.neighbourhood.extract_neighbourhood` and
 the tuple canonical forms of :class:`~repro.graphs.neighbourhood.Neighbourhood`
@@ -32,11 +33,9 @@ verdicts across all 12 workload graph families and every backend.
 
 from __future__ import annotations
 
-import struct
-from itertools import permutations, product
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from itertools import chain, permutations, product
+from math import factorial
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..errors import GraphError
 from ..graphs.labelled_graph import LabelledGraph, Node
@@ -77,7 +76,7 @@ _MAX_SEARCH = 40320  # 8!
 # (algorithm, view key), and one sweep mixes many graphs), so label codes
 # are assigned from one process-wide table.  The table is keyed by
 # ``repr(label)`` — the exact equivalence the dict-based canonical forms in
-# :mod:`repro.graphs.neighbourhood` use — so the bytes keys partition views
+# :mod:`repro.graphs.neighbourhood` use — so the integer keys partition views
 # exactly like the tuple reference keys.  The table only ever grows with
 # *distinct* labels, of which real workloads have a handful.
 
@@ -103,8 +102,8 @@ class InternedGraph:
     """A :class:`LabelledGraph` flattened into compact integer form.
 
     ``nodes`` maps dense index → node name; ``adj_lists[i]`` holds the
-    neighbour indices of node ``i`` sorted ascending; ``label_codes`` is an
-    int64 array of one process-wide label code per node and
+    neighbour indices of node ``i`` sorted ascending; ``label_codes`` is a
+    list of one process-wide label code per node and
     ``labels_list`` the labels themselves.  Ball tables are computed
     lazily per radius and cached on the instance.
     """
@@ -123,7 +122,7 @@ class InternedGraph:
         self,
         source: LabelledGraph,
         nodes: Tuple[Node, ...],
-        label_codes: "np.ndarray",
+        label_codes: List[int],
         adj_lists: List[List[int]],
         labels_list: List[object],
     ) -> None:
@@ -175,9 +174,9 @@ class InternedBall:
     ``members`` are ascending global node indices (a Python list);
     ``local_of`` maps global index → member-local index; ``graph`` is the
     shared induced :class:`LabelledGraph` handed to algorithms;
-    ``ball_nodes`` its nodes in member order.  The arrays the canonical-key
-    search needs (label codes, in-ball degrees, local edges) are built
-    lazily by :meth:`arrays` — the direct backend never pays for them.
+    ``ball_nodes`` its nodes in member order.  The data the canonical-key
+    search needs (label codes, in-ball neighbours, local edges) is built
+    lazily by :meth:`arrays` — the direct backend never pays for it.
     """
 
     __slots__ = ("interned", "members", "local_of", "graph", "ball_nodes", "_arrays")
@@ -195,30 +194,23 @@ class InternedBall:
         self.local_of = local_of
         self.graph = graph
         self.ball_nodes = ball_nodes
-        self._arrays: Optional[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = None
+        self._arrays: Optional[Tuple[List[int], List[List[int]], List[Tuple[int, int]]]] = None
 
-    def arrays(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-        """Return ``(label_codes, degrees, local_edges)`` for the canonical-key search.
+    def arrays(self) -> Tuple[List[int], List[List[int]], List[Tuple[int, int]]]:
+        """Return ``(label_codes, neighbours, local_edges)`` for the canonical-key search.
 
-        ``label_codes`` and ``degrees`` are member-local int64 arrays;
-        ``local_edges`` is the ``(m, 2)`` array of intra-ball edges with
-        ``u < w`` in member-local indices.  Built once, cached.
+        All in member-local indices: ``label_codes[l]`` is the label code
+        of member ``l``, ``neighbours[l]`` its ascending in-ball
+        neighbours, and ``local_edges`` the intra-ball edges ``(u, w)``
+        with ``u < w``.  Built once, cached.
         """
         if self._arrays is None:
-            interned = self.interned
             local_of = self.local_of
-            degrees: List[int] = []
-            edges: List[Tuple[int, int]] = []
-            for l, g in enumerate(self.members):
-                kept = [local_of[h] for h in interned.adj_lists[g] if h in local_of]
-                degrees.append(len(kept))
-                edges.extend((l, lh) for lh in kept if l < lh)
-            label_codes = interned.label_codes[self.members]
-            degree_arr = np.asarray(degrees, dtype=np.int64)
-            edge_arr = (
-                np.asarray(edges, dtype=np.int64) if edges else np.zeros((0, 2), dtype=np.int64)
-            )
-            self._arrays = (label_codes.astype(np.int64), degree_arr, edge_arr)
+            adj_lists = self.interned.adj_lists
+            neighbours = [[local_of[h] for h in adj_lists[g] if h in local_of] for g in self.members]
+            edges = [(l, lh) for l, kept in enumerate(neighbours) for lh in kept if l < lh]
+            label_codes = self.interned.label_codes
+            self._arrays = ([label_codes[g] for g in self.members], neighbours, edges)
         return self._arrays
 
 
@@ -228,7 +220,7 @@ class InternedView:
     ``ball`` is the (possibly shared) :class:`InternedBall`;
     ``center_local`` the centre's member-local index; ``dist_local`` the
     member-local hop distances (a Python list).  The caching engine uses
-    this payload to compute array-based canonical keys
+    this payload to compute integer canonical keys
     (:func:`interned_view_key`).
     """
 
@@ -262,9 +254,7 @@ def intern_graph(graph: LabelledGraph) -> InternedGraph:
         index = {v: i for i, v in enumerate(nodes)}
         adj_lists = [sorted(index[w] for w in graph.neighbours(v)) for v in nodes]
         labels_list = [graph.label(v) for v in nodes]
-        label_codes = np.fromiter(
-            (_label_code(lab) for lab in labels_list), dtype=np.int64, count=len(nodes)
-        )
+        label_codes = [_label_code(lab) for lab in labels_list]
         interned = InternedGraph(graph, nodes, label_codes, adj_lists, labels_list)
     _INTERN_CACHE.put(graph, interned)
     return interned
@@ -301,7 +291,7 @@ def interned_id_free_views(graph: LabelledGraph, radius: int) -> Dict[Node, Neig
 
     Centres whose balls coincide share one induced :class:`LabelledGraph`;
     every returned view carries an :class:`InternedView` payload for
-    array-based canonical keys.  An empty graph has no views.
+    integer canonical keys.  An empty graph has no views.
     """
     if radius < 0:
         raise GraphError(f"radius must be non-negative, got {radius}")
@@ -323,107 +313,101 @@ def interned_id_free_views(graph: LabelledGraph, radius: int) -> Dict[Node, Neig
 
 
 # ---------------------------------------------------------------------- #
-# Array-based canonical keys
+# Canonical keys
 # ---------------------------------------------------------------------- #
 
 
-def interned_view_key(view: Neighbourhood, use_ids: bool) -> Optional[bytes]:
-    """Compute an exact canonical key of an interned view as bytes, or ``None``.
+def interned_view_key(view: Neighbourhood, use_ids: bool) -> Optional[Tuple[int, tuple, tuple]]:
+    """Compute an exact canonical key of an interned view as an integer tuple, or ``None``.
 
-    The key is the lexicographically smallest ``tobytes()`` encoding of the
-    ball's node-data and edge arrays over all orderings consistent with the
-    (possibly WL-refined) node colours — the array-native replacement for
+    Each ball node is coloured ``(dist, label code, in-ball degree,
+    is_centre[, id])``.  An ordering lists the colour classes in colour
+    order (split by 1-WL when the search is large), permuting nodes only
+    inside a class, so the node data per position is fixed and only the
+    edges are searched.  The key is ``(radius, node_data, edges)``, with
+    ``edges`` the smallest sorted list of edge codes ``a * k + b``
+    (positions ``a < b`` of ``k`` ball nodes) over all orderings.  Equal
+    keys hold exactly for centred-isomorphic views (labels, distances and
+    — with ``use_ids`` — identifiers preserved), as for
     :meth:`Neighbourhood.oblivious_key` / :meth:`Neighbourhood.structure_key`.
-    Equal keys hold exactly for centred-isomorphic views (labels, distances
-    and — with ``use_ids`` — identifiers preserved).  ``None`` means the
-    view carries no interned payload or the canonical search would exceed
-    its budget; callers then evaluate the view without memoising it.
+    ``None`` means no interned payload, no identifiers, or a search over
+    budget; callers then evaluate without memoising.
     """
     payload: Optional[InternedView] = view.interned
     if payload is None:
         return None
     ball = payload.ball
-    label_codes, degrees, edges = ball.arrays()
-    k = len(ball.members)
-    center_onehot = np.zeros(k, dtype=np.int64)
-    center_onehot[payload.center_local] = 1
-    columns = [np.asarray(payload.dist_local, dtype=np.int64), label_codes, degrees, center_onehot]
+    label_codes, neighbours, edges = ball.arrays()
+    dist_local = payload.dist_local
+    centre = payload.center_local
+    k = len(label_codes)
+    colours = [
+        (dist_local[l], label_codes[l], len(neighbours[l]), int(l == centre)) for l in range(k)
+    ]
     if use_ids:
-        ids = view.ids
+        ids = view.ids  # a view's identifiers always cover its ball
         if ids is None:
             return None
-        try:
-            columns.append(np.fromiter((ids[v] for v in ball.ball_nodes), dtype=np.int64, count=k))
-        except (KeyError, OverflowError):
+        colours = [colour + (ids[v],) for colour, v in zip(colours, ball.ball_nodes)]
+
+    # Classes in colour order: a pure function of the colour data, so the
+    # class order is invariant under isomorphism.
+    classes = _classes(colours)
+    if _search_size(classes) > _REFINEMENT_THRESHOLD:
+        classes = _refine(classes, neighbours)
+        if _search_size(classes) > _MAX_SEARCH:
             return None
-    colour = np.stack(columns, axis=1)
+    node_data = tuple(colours[local] for members in classes for local in members)
 
-    # Colour classes (np.unique sorts rows, so class order is canonical —
-    # a pure function of the colour data, invariant under isomorphism).
-    _, class_ids = np.unique(colour, axis=0, return_inverse=True)
-    if _search_size(class_ids) > _REFINEMENT_THRESHOLD:
-        class_ids = _refine(class_ids, edges, k)
-    if _search_size(class_ids) > _MAX_SEARCH:
-        return None
-
-    classes: Dict[int, List[int]] = {}
-    for local, cid in enumerate(class_ids):
-        classes.setdefault(int(cid), []).append(local)
-    if any(len(members) > _MAX_CLASS for members in classes.values()):
-        return None
-    ordered_classes = [classes[cid] for cid in sorted(classes)]
-
-    best: Optional[bytes] = None
-    inverse = np.empty(k, dtype=np.int64)
-    for perm_lists in product(*[list(permutations(members)) for members in ordered_classes]):
-        ordering = [local for group in perm_lists for local in group]
-        order_arr = np.asarray(ordering, dtype=np.int64)
-        inverse[order_arr] = np.arange(k, dtype=np.int64)
-        data_bytes = np.ascontiguousarray(colour[order_arr]).tobytes()
-        if edges.size:
-            remapped = inverse[edges]
-            remapped.sort(axis=1)
-            remapped = remapped[np.lexsort((remapped[:, 1], remapped[:, 0]))]
-            edge_bytes = np.ascontiguousarray(remapped).tobytes()
-        else:
-            edge_bytes = b""
-        candidate = data_bytes + b"\x00" + edge_bytes
+    position = [0] * k
+    best: Optional[List[int]] = None
+    for choice in product(*[permutations(members) for members in classes]):
+        for p, local in enumerate(chain.from_iterable(choice)):
+            position[local] = p
+        candidate = sorted(
+            [a * k + b if a < b else b * k + a for u, w in edges for a in (position[u],) for b in (position[w],)]
+        )
         if best is None or candidate < best:
             best = candidate
     assert best is not None
-    header = struct.pack("<4sqqq", b"iv1\x00", view.radius, k, colour.shape[1])
-    return header + best
+    return (view.radius, node_data, tuple(best))
 
 
-def _search_size(class_ids: "np.ndarray") -> int:
-    """Number of orderings the canonical search would enumerate (product of class factorials)."""
+def _classes(keys: List[Hashable]) -> List[List[int]]:
+    """Group node indices by key, classes in ascending key order."""
+    groups: Dict[Hashable, List[int]] = {}
+    for local, key in enumerate(keys):
+        groups.setdefault(key, []).append(local)
+    return [groups[key] for key in sorted(groups)]
+
+
+def _search_size(classes: List[List[int]]) -> int:
+    """Orderings the canonical search would enumerate, counted only up to just past ``_MAX_SEARCH``.
+
+    A class of more than ``_MAX_CLASS`` nodes alone exceeds the budget.
+    """
     total = 1
-    _, counts = np.unique(class_ids, return_counts=True)
-    for count in counts:
-        for factor in range(2, int(count) + 1):
-            total *= factor
-        if total > _MAX_SEARCH * 1024:
-            return total
+    for members in classes:
+        total *= factorial(min(len(members), _MAX_CLASS + 1))
+        if total > _MAX_SEARCH:
+            break
     return total
 
 
-def _refine(class_ids: "np.ndarray", edges: "np.ndarray", k: int) -> "np.ndarray":
-    """1-WL refinement of colour classes by neighbour colour multisets (3 rounds)."""
-    neighbours: List[List[int]] = [[] for _ in range(k)]
-    for u, w in edges.tolist():
-        neighbours[u].append(w)
-        neighbours[w].append(u)
-    current = [int(c) for c in class_ids]
+def _refine(classes: List[List[int]], neighbours: List[List[int]]) -> List[List[int]]:
+    """1-WL refinement of ordered classes by neighbour class multisets (3 rounds).
+
+    A class splits in place, its parts ordered by neighbour signature.
+    """
     for _ in range(3):
-        signatures = [
-            (current[local], tuple(sorted(current[nbr] for nbr in neighbours[local])))
-            for local in range(k)
-        ]
-        table: Dict[Tuple, int] = {}
-        for signature in sorted(set(signatures)):
-            table[signature] = len(table)
-        refined = [table[signature] for signature in signatures]
-        if refined == current:
+        class_of = [0] * len(neighbours)
+        for cid, members in enumerate(classes):
+            for local in members:
+                class_of[local] = cid
+        refined = _classes(
+            [(class_of[local], tuple(sorted(class_of[n] for n in nbrs))) for local, nbrs in enumerate(neighbours)]
+        )
+        if len(refined) == len(classes):
             break
-        current = refined
-    return np.asarray(current, dtype=np.int64)
+        classes = refined
+    return classes

@@ -149,9 +149,9 @@ def algorithm_fingerprint(algorithm: Any) -> str:
     The fingerprint covers the class, declared name/radius/obliviousness,
     the bytecode of ``evaluate`` (and of a wrapped ``_fn`` for the function
     adapters, closure constants included) and the primitive attributes of
-    the instance.  Editing a decider therefore changes its fingerprint,
-    which is how stored verdicts go stale without any explicit
-    invalidation.  An algorithm may override all of this by providing a
+    the instance, lists, dicts and sets of primitives included.  Editing a
+    decider therefore changes its fingerprint, which is how stored
+    verdicts go stale without any explicit invalidation.  An algorithm may override all of this by providing a
     ``store_fingerprint()`` method returning any stable value.
     """
     custom = getattr(algorithm, "store_fingerprint", None)
@@ -176,6 +176,10 @@ def algorithm_fingerprint(algorithm: Any) -> str:
                 continue
             if isinstance(value, _PRIMITIVES + (tuple, frozenset)):
                 parts.append(f"{key}={value!r}")
+            elif isinstance(value, (list, dict, set)):
+                exact = _exact_repr(value)
+                if exact is not None:
+                    parts.append(f"{key}={exact}")
             elif callable(value):
                 parts.append(f"{key}~{_code_token(value)}")
     return _sha256(*parts)
@@ -184,21 +188,29 @@ def algorithm_fingerprint(algorithm: Any) -> str:
 def _exact_repr(value: Any, depth: int = 0) -> Optional[str]:
     """A repr that provably captures the value, or ``None``.
 
-    Primitives repr faithfully; tuples/frozensets recurse (a tuple holding
-    an arbitrary object must refuse, not trust that object's repr).
+    Primitives repr faithfully; tuples, lists, sets, frozensets and dicts
+    recurse (a container holding an arbitrary object must refuse, not
+    trust that object's repr).  Sets and dicts list their item reprs
+    sorted, so the result does not depend on hash order.
     """
     if depth > 8:
         return None
     if isinstance(value, _PRIMITIVES):
         return repr(value)
-    if isinstance(value, (tuple, frozenset)):
+    if isinstance(value, dict):
+        pairs = [(_exact_repr(k, depth + 1), _exact_repr(v, depth + 1)) for k, v in value.items()]
+        if any(k is None or v is None for k, v in pairs):
+            return None
+        inner = sorted(f"{k}: {v}" for k, v in pairs)
+    elif isinstance(value, (tuple, list, frozenset, set)):
         inner = [_exact_repr(x, depth + 1) for x in value]
         if any(x is None for x in inner):
             return None
-        if isinstance(value, frozenset):
+        if isinstance(value, (frozenset, set)):
             inner = sorted(inner)
-        return f"{type(value).__name__}({', '.join(inner)})"
-    return None
+    else:
+        return None
+    return f"{type(value).__name__}({', '.join(inner)})"
 
 
 def _strict_code_token(fn: Any, depth: int = 0) -> Optional[str]:
@@ -247,10 +259,10 @@ def exact_algorithm_fingerprint(algorithm: Any) -> Optional[str]:
     Returns a token only when every behaviour-carrying part of the
     algorithm is captured exactly: its class, declared radius and
     obliviousness, the strict code token of ``evaluate`` (and of a wrapped
-    ``_fn``), and every instance attribute — which must be primitive,
-    tuple/frozenset of primitives, or exactly-tokenisable callables.  One
-    approximated part returns ``None`` and callers fall back to identity
-    keys.  ``store_fingerprint()`` overrides are trusted as exact (that is
+    ``_fn``), and every instance attribute — which must be primitive, a
+    container of primitives (:func:`_exact_repr`), or an
+    exactly-tokenisable callable.  One approximated part returns ``None``
+    and callers fall back to identity keys.  ``store_fingerprint()`` overrides are trusted as exact (that is
     their documented contract).
     """
     custom = getattr(algorithm, "store_fingerprint", None)

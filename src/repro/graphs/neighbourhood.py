@@ -59,7 +59,7 @@ class Neighbourhood:
     Notes
     -----
     Views produced by the interned core (:mod:`repro.engine.interned`)
-    additionally carry an ``interned`` payload — array-backed ball data the
+    additionally carry an ``interned`` payload — integer ball data the
     caching engine computes its canonical keys from; the tuple-based keys
     below are the reference they are tested against.  Views built through
     the ordinary constructor have ``interned = None`` and behave
@@ -109,7 +109,7 @@ class Neighbourhood:
         Internal fast path for the vectorised core: ``distances`` must
         cover exactly the ball nodes and ``ids`` (when given) must already
         be restricted to them.  ``distances`` is adopted without copying;
-        ``interned`` attaches the array payload used for canonical keys.
+        ``interned`` attaches the integer payload used for canonical keys.
         """
         view = cls.__new__(cls)
         view.graph = graph

@@ -2,7 +2,7 @@
 
 The interned core (:mod:`repro.engine.interned`) extracts every ball of a
 graph by breadth-first search over integer adjacency lists and computes
-canonical view keys over numpy arrays.  Per-node
+canonical view keys as tuples of plain ints.  Per-node
 :func:`~repro.graphs.neighbourhood.extract_neighbourhood` and the tuple
 canonical keys of :class:`~repro.graphs.neighbourhood.Neighbourhood` are
 the reference.  These tests pin that **both are observably identical** —
@@ -13,11 +13,16 @@ workload graph families, graphs of any size, and every backend.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
+import repro
 from repro.decision import FunctionProperty, InstanceFamily, verify_decider
 from repro.engine import CachedEngine, DirectEngine, ExecutionEngine, SynchronousEngine
 from repro.engine.interned import intern_graph, interned_id_free_views, interned_view_key
@@ -26,6 +31,7 @@ from repro.graphs import (
     complete_graph,
     cycle_graph,
     grid_graph,
+    hypercube_graph,
     random_graph,
     sequential_assignment,
 )
@@ -73,7 +79,17 @@ def test_interned_views_match_dict_extraction(g, radius):
         assert got.graph.labels() == ref.graph.labels()
 
 
+def _two_level_graph(dist2_edges):
+    # Centre c, neighbours a and b, children x, y of a and z, w of b.
+    # Both edge choices below give every node the same distance and degree
+    # from c, so only the edges tell the two radius-2 views of c apart.
+    nodes = ["c", "a", "b", "x", "y", "z", "w"]
+    edges = [("c", "a"), ("c", "b"), ("a", "x"), ("a", "y"), ("b", "z"), ("b", "w")]
+    return LabelledGraph(nodes, edges + dist2_edges, {v: "n" for v in nodes})
+
+
 @given(small_graphs(), small_graphs(), st.integers(min_value=0, max_value=2))
+@example(_two_level_graph([("x", "z"), ("y", "w")]), _two_level_graph([("x", "y"), ("z", "w")]), 2)
 @settings(max_examples=30, deadline=None)
 def test_interned_canonical_keys_partition_like_dict_keys(g1, g2, radius):
     # The bytes keys must induce exactly the same equivalence classes as
@@ -87,13 +103,18 @@ def test_interned_canonical_keys_partition_like_dict_keys(g1, g2, radius):
             assert (key_a == key_b) == (view_a.oblivious_key() == view_b.oblivious_key())
 
 
-@given(small_graphs(), st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=9))
+# Identifiers are unbounded naturals: start both near 0 and beyond 2**63.
+_ID_STARTS = st.integers(min_value=0, max_value=9) | st.integers(min_value=2**63 - 4, max_value=2**70)
+
+
+@given(small_graphs(), st.integers(min_value=0, max_value=2), _ID_STARTS)
 @settings(max_examples=30, deadline=None)
 def test_interned_id_keys_partition_like_structure_keys(g, radius, start):
     ids = sequential_assignment(g, start=start)
     views = [view.with_ids(ids) for view in interned_id_free_views(g, radius).values()]
     keyed = [(view, interned_view_key(view, use_ids=True)) for view in views]
-    keyed = [(view, key) for view, key in keyed if key is not None]
+    # Distinct identifiers make every colour class a singleton: always keyed.
+    assert all(key is not None for _, key in keyed)
     for i, (view_a, key_a) in enumerate(keyed):
         for view_b, key_b in keyed[i + 1 :]:
             assert (key_a == key_b) == (view_a.structure_key() == view_b.structure_key())
@@ -314,6 +335,57 @@ def test_cached_engine_evaluates_unkeyed_views_without_memoising():
     assert engine.stats.evaluations == 2
     assert engine.stats.evaluation_hits == 0
     assert view._obliv_key is None
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [complete_graph(9, label="k"), hypercube_graph(6, label="q")],
+    ids=["K9", "Q6"],
+)
+def test_canonical_search_budget_admits_largest_classes(graph):
+    # K9 at radius 1: eight interchangeable leaves, exactly the 8! budget.
+    # Q6 at radius 1: six leaves, 6! orderings.  Every centre of these
+    # vertex-transitive graphs has the same view, hence the same key.
+    keys = {interned_view_key(view, use_ids=False) for view in interned_id_free_views(graph, 1).values()}
+    assert len(keys) == 1 and None not in keys
+    k10_view = interned_id_free_views(complete_graph(10, label="k"), 1)[0]
+    assert interned_view_key(k10_view, use_ids=False) is None
+
+
+def test_package_runs_without_numpy():
+    # numpy is not a dependency: blocking its import must leave the whole
+    # package, the interned core and the caching engine working.
+    script = textwrap.dedent(
+        """
+        import sys
+        sys.modules["numpy"] = None
+        import repro
+        from repro.decision import FunctionProperty, InstanceFamily, verify_decider
+        from repro.engine import CachedEngine
+        from repro.graphs import cycle_graph, path_graph
+        from repro.local_model import NO, YES, FunctionIdObliviousAlgorithm
+
+        family = InstanceFamily(
+            name="cycles-vs-paths",
+            yes_instances=[cycle_graph(n, label="x") for n in (5, 8, 13)],
+            no_instances=[path_graph(n, label="x") for n in (5, 8, 13)],
+        )
+        prop = FunctionProperty(lambda g: all(g.degree(v) == 2 for v in g.nodes()), name="2-regular")
+        decider = FunctionIdObliviousAlgorithm(
+            lambda view: YES if view.center_degree() == 2 else NO, radius=1, name="deg2"
+        )
+        engine = CachedEngine()
+        report = verify_decider(decider, prop, family=family, samples=3, seed=1, engine=engine)
+        assert report.correct, report
+        assert engine.stats.evaluation_hits > 0
+        print("ok")
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
 
 
 def test_run_many_id_aware_matches_dict_path():

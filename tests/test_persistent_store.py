@@ -25,6 +25,7 @@ from repro.engine import (
     StoreCorruptionWarning,
     VerdictStore,
     algorithm_fingerprint,
+    exact_algorithm_fingerprint,
     job_digest,
 )
 from repro.graphs import cycle_graph, path_graph, sequential_assignment
@@ -34,6 +35,7 @@ from repro.local_model import (
     FunctionAlgorithm,
     FunctionIdObliviousAlgorithm,
     FunctionRandomisedAlgorithm,
+    IdObliviousAlgorithm,
     run_algorithm,
     run_randomised_algorithm,
 )
@@ -385,6 +387,43 @@ def test_algorithm_fingerprint_distinguishes_code_and_parameters():
     assert algorithm_fingerprint(a) != algorithm_fingerprint(different_code)
     different_radius = FunctionIdObliviousAlgorithm(a._fn, radius=2, name="cycle-decider")
     assert algorithm_fingerprint(a) != algorithm_fingerprint(different_radius)
+
+
+class _DegreeIn(IdObliviousAlgorithm):
+    """Accepts exactly the nodes whose degree is in ``allowed`` (any container)."""
+
+    def __init__(self, allowed):
+        super().__init__(radius=1, name="degree-in")
+        self.allowed = allowed
+
+    def evaluate(self, view):
+        return YES if view.center_degree() in self.allowed else NO
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [([1, 2], [3]), ({1: 2}, {3: 4}), ({1, 2}, {3})],
+    ids=["list", "dict", "set"],
+)
+def test_fingerprint_sees_container_attributes(tmp_path, first, second):
+    # Deciders that differ only in a list/dict/set attribute behave
+    # differently, so a store must not replay one's verdicts for the other.
+    a, b = _DegreeIn(first), _DegreeIn(second)
+    assert algorithm_fingerprint(a) != algorithm_fingerprint(b)
+    assert exact_algorithm_fingerprint(a) != exact_algorithm_fingerprint(b)
+    assert algorithm_fingerprint(a) == algorithm_fingerprint(_DegreeIn(type(first)(first)))
+    graph = path_graph(4, label="x")
+    engine = DirectEngine().with_store(tmp_path / "store")
+    assert run_algorithm(a, graph, engine=engine) == run_algorithm(a, graph)
+    assert run_algorithm(b, graph, engine=engine) == run_algorithm(b, graph)
+    assert run_algorithm(a, graph) != run_algorithm(b, graph)
+
+
+def test_fingerprint_of_dict_attribute_ignores_insertion_order():
+    assert algorithm_fingerprint(_DegreeIn({1: 2, 3: 4})) == algorithm_fingerprint(_DegreeIn({3: 4, 1: 2}))
+    assert exact_algorithm_fingerprint(_DegreeIn({1: 2, 3: 4})) == exact_algorithm_fingerprint(
+        _DegreeIn({3: 4, 1: 2})
+    )
 
 
 def test_job_digest_oblivious_algorithms_share_across_assignments():
